@@ -10,16 +10,15 @@ import org.apache.spark.broadcast.Broadcast
   */
 trait CandidateGen extends Serializable {
 
-  /** Fill `buf` with candidate cluster ids for `p` (duplicates allowed);
-    * return the count. `labels` is the epoch-start assignment snapshot.
+  /** Fill `buf` with candidate cluster ids for `p` and return the count.
+    * `labels` is the epoch-start assignment snapshot. Every id is in
+    * [0, k); ids may repeat and may include `p`'s own cluster — the engine
+    * scores each distinct other cluster once, in first-emission order.
     */
   def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int
 
   /** Upper bound on candidates per sample — sizes the reusable buffer. */
   def maxCandidates: Int
-
-  /** Whether `fill` may emit duplicate cluster ids (engine then dedupes). */
-  def mayDuplicate: Boolean
 }
 
 /** Full scan over all k clusters (traditional k-means / boost k-means). */
@@ -30,7 +29,6 @@ final class AllClustersGen(k: Int) extends CandidateGen {
     k
   }
   override def maxCandidates: Int = k
-  override def mayDuplicate: Boolean = false
 }
 
 /** Clusters where the sample's top-κ graph neighbours reside (Alg. 2). */
@@ -43,7 +41,6 @@ final class GraphNbrGen(bcGraph: Broadcast[Array[Array[Int]]], kappa: Int) exten
     m
   }
   override def maxCandidates: Int = kappa
-  override def mayDuplicate: Boolean = true
 }
 
 /** Closure candidates: clusters of every point sharing one of `m` random-
@@ -57,24 +54,34 @@ final class ClosureGen(
     bcMemberOf: Broadcast[Array[Array[Int]]],
     bcBuckets: Broadcast[Array[Array[Array[Int]]]],
 ) extends CandidateGen {
-  override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int = {
+  override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int =
+    walk(p.id.toInt, labels, buf, 0)
+
+  /** Write `clusterOf(mate)` for every bucket mate of `i`, projection by
+    * projection, into `buf` from index `from`, skipping negative values;
+    * return the end index.
+    */
+  private[core] def walk(i: Int, clusterOf: Array[Int], buf: Array[Int], from: Int): Int = {
     val memberOf = bcMemberOf.value; val buckets = bcBuckets.value
-    val i = p.id.toInt
-    var out = 0
+    var out = from
     var pr = 0
     while (pr < memberOf.length) {
       val mates = buckets(pr)(memberOf(pr)(i))
       var j = 0
-      while (j < mates.length) { buf(out) = labels(mates(j)); out += 1; j += 1 }
+      while (j < mates.length) {
+        val c = clusterOf(mates(j))
+        if (c >= 0) { buf(out) = c; out += 1 }
+        j += 1
+      }
       pr += 1
     }
     out
   }
+
   override val maxCandidates: Int = {
     val buckets = bcBuckets.value
     buckets.map(_.map(_.length).max).sum
   }
-  override def mayDuplicate: Boolean = true
 }
 
 /** Closure *seeding* candidates (Wang et al. initialisation): the clusters of
@@ -88,27 +95,11 @@ final class SeedClosureGen(
     bcSeedOf: Broadcast[Array[Int]],
     k: Int,
 ) extends CandidateGen {
+  private val closure = new ClosureGen(bcMemberOf, bcBuckets)
+
   override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int = {
-    val memberOf = bcMemberOf.value; val buckets = bcBuckets.value; val seedOf = bcSeedOf.value
-    val i = p.id.toInt
-    var out = 0
-    buf(out) = (p.id % k).toInt; out += 1 // fallback candidate
-    var pr = 0
-    while (pr < memberOf.length) {
-      val mates = buckets(pr)(memberOf(pr)(i))
-      var j = 0
-      while (j < mates.length) {
-        val s = seedOf(mates(j))
-        if (s >= 0) { buf(out) = s; out += 1 }
-        j += 1
-      }
-      pr += 1
-    }
-    out
+    buf(0) = (p.id % k).toInt // fallback candidate
+    closure.walk(p.id.toInt, bcSeedOf.value, buf, 1)
   }
-  override val maxCandidates: Int = {
-    val buckets = bcBuckets.value
-    buckets.map(_.map(_.length).max).sum + 1
-  }
-  override def mayDuplicate: Boolean = true
+  override val maxCandidates: Int = closure.maxCandidates + 1
 }

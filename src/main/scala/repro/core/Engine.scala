@@ -18,6 +18,10 @@ import org.apache.spark.sql.Dataset
   *    candidate centroid, all evaluated against the epoch-start state, so a
   *    full-candidate epoch is *exactly* one Lloyd iteration (distortion
   *    non-increasing).
+  *
+  * Either rule scores each distinct candidate cluster other than the
+  * point's own exactly once, in the order the generator first emits it;
+  * `distEvals` counts those scorings.
   */
 object Engine {
 
@@ -88,19 +92,35 @@ object Engine {
             val lab = bcL.value
             val st = bcS.value
             val buf = new Array[Int](cand.maxCandidates)
-            val seen = if (cand.mayDuplicate) new Array[Int](cand.maxCandidates) else null
+            val stamp = new Array[Int](st.k)
+            var tag = 0
             val movedIds = Array.newBuilder[Long]
             val movedTo = Array.newBuilder[Int]
             var evals = 0L
+            // Reduce the raw candidates of p to the distinct clusters other
+            // than u, in first-emission order, in buf(0 until m).
+            def candidates(p: Point, u: Int): Int = {
+              val raw = cand.fill(p, lab, buf)
+              tag += 1
+              stamp(u) = tag
+              var m = 0
+              var j = 0
+              while (j < raw) {
+                val v = buf(j)
+                if (stamp(v) != tag) { stamp(v) = tag; buf(m) = v; m += 1 }
+                j += 1
+              }
+              evals += m
+              m
+            }
             rule match {
               case BoostRule =>
                 val ls = new LocalState(st)
                 it.foreach { p =>
-                  val i = p.id.toInt
-                  val u = lab(i)
+                  val u = lab(p.id.toInt)
                   val x = p.vec
                   val xx = VecOps.normSqF(x)
-                  val m = cand.fill(p, lab, buf)
+                  val m = candidates(p, u)
                   // Removal gain g(u) under the local (within-partition) state.
                   // nu >= 1 always: x itself is still a member of Sᵤ here.
                   val dotU = VecOps.dotFD(x, ls.compRow(u))
@@ -108,22 +128,12 @@ object Engine {
                   var best = -1
                   var bestGain = 0.0
                   var bestDotV = 0.0
-                  var seenN = 0
                   var j = 0
                   while (j < m) {
                     val v = buf(j)
-                    var dup = false
-                    if (seen != null) {
-                      var s = 0
-                      while (s < seenN && !dup) { dup = seen(s) == v; s += 1 }
-                      if (!dup) { seen(seenN) = v; seenN += 1 }
-                    }
-                    if (!dup && v != u) {
-                      evals += 1
-                      val dotV = VecOps.dotFD(x, ls.compRow(v))
-                      val gain = BoostMath.insertionGain(ls.norm(v), ls.cnt(v), dotV, xx) + gU
-                      if (gain > bestGain) { bestGain = gain; best = v; bestDotV = dotV }
-                    }
+                    val dotV = VecOps.dotFD(x, ls.compRow(v))
+                    val gain = BoostMath.insertionGain(ls.norm(v), ls.cnt(v), dotV, xx) + gU
+                    if (gain > bestGain) { bestGain = gain; best = v; bestDotV = dotV }
                     j += 1
                   }
                   val eps = 1e-9 * (xx + 1.0)
@@ -135,28 +145,17 @@ object Engine {
                 }
               case NearestRule =>
                 it.foreach { p =>
-                  val i = p.id.toInt
-                  val u = lab(i)
+                  val u = lab(p.id.toInt)
                   val x = p.vec
                   val xx = VecOps.normSqF(x)
-                  val m = cand.fill(p, lab, buf)
+                  val m = candidates(p, u)
                   var best = u
                   var bestD = st.sqDistToCentroid(x, xx, u)
-                  var seenN = 0
                   var j = 0
                   while (j < m) {
                     val v = buf(j)
-                    var dup = v == u
-                    if (!dup && seen != null) {
-                      var s = 0
-                      while (s < seenN && !dup) { dup = seen(s) == v; s += 1 }
-                      if (!dup) { seen(seenN) = v; seenN += 1 }
-                    }
-                    if (!dup) {
-                      evals += 1
-                      val dd = st.sqDistToCentroid(x, xx, v)
-                      if (dd < bestD) { bestD = dd; best = v }
-                    }
+                    val dd = st.sqDistToCentroid(x, xx, v)
+                    if (dd < bestD) { bestD = dd; best = v }
                     j += 1
                   }
                   if (best != u) { movedIds += p.id; movedTo += best }
@@ -179,7 +178,6 @@ object Engine {
     val newState =
       if (recomputeState && moved > 0)
         ClusterState.fromLabels(points, newLabels, state.k, state.d, Some(state))
-      else if (recomputeState) state
       else state
     EpochResult(newLabels, newState, moved, evals)
   }

@@ -25,6 +25,27 @@ final case class ExpRow(
     distortionByIter: Vector[Double] = Vector.empty,
 )
 
+object ExpRow {
+
+  /** The row of one fit. A graph build, when given, counts towards Init and
+    * supplies the recall of its last probed round.
+    */
+  def from(
+      method: String, n: Int, d: Int, k: Int, iters: Int,
+      fit: FitResult, build: Option[BuildResult],
+  ): ExpRow = {
+    import Experiments.ms2s
+    val iterSec = ms2s(fit.iterMs)
+    val (initSec, totalSec, recall) = build match {
+      case Some(b) =>
+        val initSec = ms2s(b.buildMs + fit.initMs)
+        (initSec, initSec + iterSec, b.roundRecalls.lastOption.getOrElse(Double.NaN))
+      case None => (ms2s(fit.initMs), ms2s(fit.totalMs), Double.NaN)
+    }
+    ExpRow(method, n, d, k, initSec, iterSec, totalSec, fit.finalDistortion, recall, iters, fit.distortionByIter)
+  }
+}
+
 /** Timed experiment runners reproducing the paper's evaluation section.
   * Every bench suite and every `jobs/` entrypoint goes through these, so a
   * table row is reproducible from one function call.
@@ -52,10 +73,7 @@ object Experiments {
   ): (ExpRow, FitResult, BuildResult) = {
     val build = GraphBuilder.build(points, n, d, kappa, xi, tau, seed, probe)
     val fit = Clustering.gkMeans(points, n, k, d, build.graph.ids, kappa, iters, seed, rule)
-    val recall = build.roundRecalls.lastOption.getOrElse(Double.NaN)
-    val initSec = ms2s(build.buildMs + fit.initMs)
-    (ExpRow(label, n, d, k, initSec, ms2s(fit.iterMs), initSec + ms2s(fit.iterMs),
-      fit.finalDistortion, recall, iters, fit.distortionByIter), fit, build)
+    (ExpRow.from(label, n, d, k, iters, fit, Some(build)), fit, build)
   }
 
   /** KGraph+GK-means: same clustering, graph supplied by NN-Descent. */
@@ -66,10 +84,7 @@ object Experiments {
   ): (ExpRow, FitResult, BuildResult) = {
     val build = NNDescent.build(points, n, d, kappa, nndIters, rho, seed, probe = probe)
     val fit = Clustering.gkMeans(points, n, k, d, build.graph.ids, kappa, iters, seed)
-    val recall = build.roundRecalls.lastOption.getOrElse(Double.NaN)
-    val initSec = ms2s(build.buildMs + fit.initMs)
-    (ExpRow("KGraph+GK-means", n, d, k, initSec, ms2s(fit.iterMs), initSec + ms2s(fit.iterMs),
-      fit.finalDistortion, recall, iters, fit.distortionByIter), fit, build)
+    (ExpRow.from("KGraph+GK-means", n, d, k, iters, fit, Some(build)), fit, build)
   }
 
   def closureRun(
@@ -77,20 +92,17 @@ object Experiments {
       iters: Int, seed: Long, m: Int = 3, bucketSize: Int = 50,
   ): (ExpRow, FitResult) = {
     val fit = ClosureKMeans.fit(points, n, k, d, iters, seed, m, bucketSize)
-    (ExpRow("closure k-means", n, d, k, ms2s(fit.initMs), ms2s(fit.iterMs), ms2s(fit.totalMs),
-      fit.finalDistortion, Double.NaN, iters, fit.distortionByIter), fit)
+    (ExpRow.from("closure k-means", n, d, k, iters, fit, None), fit)
   }
 
   def lloydRun(points: Dataset[Point], n: Int, d: Int, k: Int, iters: Int, seed: Long): (ExpRow, FitResult) = {
     val fit = Clustering.lloyd(points, n, k, d, iters, seed)
-    (ExpRow("k-means", n, d, k, ms2s(fit.initMs), ms2s(fit.iterMs), ms2s(fit.totalMs),
-      fit.finalDistortion, Double.NaN, iters, fit.distortionByIter), fit)
+    (ExpRow.from("k-means", n, d, k, iters, fit, None), fit)
   }
 
   def boostRun(points: Dataset[Point], n: Int, d: Int, k: Int, iters: Int, seed: Long): (ExpRow, FitResult) = {
     val fit = Clustering.boost(points, n, k, d, iters, seed)
-    (ExpRow("BKM", n, d, k, ms2s(fit.initMs), ms2s(fit.iterMs), ms2s(fit.totalMs),
-      fit.finalDistortion, Double.NaN, iters, fit.distortionByIter), fit)
+    (ExpRow.from("BKM", n, d, k, iters, fit, None), fit)
   }
 
   def miniBatchRun(
@@ -98,8 +110,7 @@ object Experiments {
       batches: Int, batchSize: Int, seed: Long, evalEvery: Int = 0,
   ): (ExpRow, FitResult) = {
     val fit = MiniBatchKMeans.fit(points, n, k, d, batches, batchSize, seed, evalEvery)
-    (ExpRow("Mini-Batch", n, d, k, ms2s(fit.initMs), ms2s(fit.iterMs), ms2s(fit.totalMs),
-      fit.finalDistortion, Double.NaN, batches, fit.distortionByIter), fit)
+    (ExpRow.from("Mini-Batch", n, d, k, batches, fit, None), fit)
   }
 
   /** The paper's "3 years for traditional k-means" estimate, reproduced: time

@@ -112,9 +112,4 @@ class SynthDataSpec extends SparkSpec {
       "pts" -> TestData.tinyDf.select("id", "gt"),
     )
   }
-
-  test("TPC-H-lite generators still work (lineitem smoke)") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    assert(li.count() > 0 && li.columns.contains("l_orderkey"))
-  }
 }

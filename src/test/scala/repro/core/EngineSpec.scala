@@ -162,12 +162,25 @@ class EngineSpec extends SparkSpec {
     assert(movedIds.size == r.moved)
   }
 
+  test("repeated and own-cluster candidates are scored once each, in emission order") {
+    val k = 5
+    val labels = TestData.randomLabels(n, k, 13)
+    val st = freshState(labels, k)
+    val distinctOthers = labels.map(u => Set(1, 2, 3).count(_ != u).toLong).sum
+    Seq(Engine.NearestRule, Engine.BoostRule).foreach { rule =>
+      val raw = Engine.epoch(points, labels, st, new RepeatingGen(deduped = false), rule)
+      val clean = Engine.epoch(points, labels, st, new RepeatingGen(deduped = true), rule)
+      assert(raw.distEvals == distinctOthers, s"$rule")
+      assert(clean.distEvals == distinctOthers, s"$rule")
+      assert(raw.labels sameElements clean.labels, s"$rule")
+    }
+  }
+
   test("AllClustersGen fills 0..k-1") {
     val gen = new AllClustersGen(5)
     val buf = new Array[Int](5)
     assert(gen.fill(Point(0, Array(1f)), Array(0), buf) == 5)
     assert(buf.toSeq == Seq(0, 1, 2, 3, 4))
-    assert(!gen.mayDuplicate)
   }
 
   test("GraphNbrGen maps neighbour ids through the label snapshot") {
@@ -181,4 +194,18 @@ class EngineSpec extends SparkSpec {
       assert(m == 2 && buf.toSeq == Seq(6, 7))
     } finally bc.destroy()
   }
+}
+
+/** For a point in cluster u, emits u, 3, 3, 1, u, 1, 2 — or, `deduped`, the
+  * distinct ids of that list other than u, in first-emission order.
+  */
+private final class RepeatingGen(deduped: Boolean) extends CandidateGen {
+  override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int = {
+    val u = labels(p.id.toInt)
+    val raw = Seq(u, 3, 3, 1, u, 1, 2)
+    val ids = if (deduped) raw.distinct.filter(_ != u) else raw
+    ids.copyToArray(buf)
+    ids.length
+  }
+  override def maxCandidates: Int = 7
 }
