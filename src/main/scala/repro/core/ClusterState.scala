@@ -51,18 +51,13 @@ final class ClusterState(
 
   /** Average distortion (paper Eqn. 4) given Σ‖x‖² and n. */
   def distortion(sumSqNorm: Double, n: Long): Double = (sumSqNorm - objectiveI) / n
-
-  def deepCopy: ClusterState = new ClusterState(k, d, comp.map(_.clone()), cnt.clone())
 }
 
 object ClusterState {
 
   /** Exact distributed recompute of `(Dᵣ, nᵣ)` from a label assignment.
-    *
-    * Each partition emits sparse per-cluster partial sums (a partition holds
-    * far fewer than k distinct clusters once k is large), merged on the
-    * driver. Clusters that end up empty inherit `prev`'s centroid as their
-    * fallback (or zero if there is no previous state).
+    * Clusters that end up empty inherit `prev`'s centroid as their fallback
+    * (or zero if there is no previous state).
     */
   def fromLabels(
       points: Dataset[Point],
@@ -79,38 +74,23 @@ object ClusterState {
         points
           .mapPartitions { it =>
             val lab = bcL.value
-            val acc = new java.util.HashMap[Int, Array[Double]]()
-            val num = new java.util.HashMap[Int, Long]()
-            it.foreach { p =>
-              val r = lab(p.id.toInt)
-              var a = acc.get(r)
-              if (a == null) { a = new Array[Double](d); acc.put(r, a); num.put(r, 0L) }
-              VecOps.addTo(a, p.vec)
-              num.put(r, num.get(r) + 1L)
-            }
-            import scala.jdk.CollectionConverters._
-            acc.entrySet().iterator().asScala.map { e =>
-              SumChunk(e.getKey, e.getValue, num.get(e.getKey))
-            }
+            val acc = new PartialSums(d)
+            it.foreach(p => acc.add(lab(p.id.toInt), p.vec))
+            acc.chunks.iterator
           }
           .collect()
       } finally bcL.destroy()
+    fromSums(chunks, k, d, prev)
+  }
 
-    val comp = Array.fill(k)(null: Array[Double])
-    val cnt = new Array[Long](k)
-    chunks.foreach { c =>
-      if (comp(c.r) == null) comp(c.r) = new Array[Double](d)
-      VecOps.addToDD(comp(c.r), c.sum)
-      cnt(c.r) += c.cnt
-    }
+  /** State from every partition's partial sums, in collect order; clusters
+    * no chunk touches are empty and fall back as in [[fromLabels]].
+    */
+  private[core] def fromSums(chunks: Array[SumChunk], k: Int, d: Int, prev: Option[ClusterState]): ClusterState = {
+    val (comp, cnt) = PartialSums.merge(chunks, k, d)
     var r = 0
     while (r < k) {
-      if (comp(r) == null) {
-        comp(r) = prev match {
-          case Some(p) => p.centroid(r).clone()
-          case None    => new Array[Double](d)
-        }
-      }
+      if (comp(r) == null) comp(r) = prev.fold(new Array[Double](d))(_.centroid(r).clone())
       r += 1
     }
     new ClusterState(k, d, comp, cnt)
@@ -123,5 +103,43 @@ object ClusterState {
   def fromCentroids(cents: Array[Array[Double]]): ClusterState = {
     require(cents.nonEmpty)
     new ClusterState(cents.length, cents(0).length, cents.map(_.clone()), new Array[Long](cents.length))
+  }
+}
+
+/** Sparse per-cluster partial sums of one partition (a partition holds far
+  * fewer than k distinct clusters once k is large): `add(r, x)` adds x to
+  * key r, and `chunks` emits one [[SumChunk]] per key touched.
+  */
+private[core] final class PartialSums(d: Int) {
+  private val slots = new java.util.HashMap[Int, PartialSums.Slot]()
+
+  def add(r: Int, x: Array[Float]): Unit = {
+    var s = slots.get(r)
+    if (s == null) { s = new PartialSums.Slot(new Array[Double](d)); slots.put(r, s) }
+    VecOps.addTo(s.sum, x)
+    s.cnt += 1
+  }
+
+  def chunks: Array[SumChunk] = {
+    import scala.jdk.CollectionConverters._
+    slots.asScala.iterator.map { case (r, s) => SumChunk(r, s.sum, s.cnt) }.toArray
+  }
+}
+
+private[core] object PartialSums {
+  private final class Slot(val sum: Array[Double]) { var cnt = 0L }
+
+  /** Sums the chunks per key in collect order, each from a zero vector;
+    * keys no chunk touches keep a null sum and a zero count.
+    */
+  def merge(chunks: Array[SumChunk], keys: Int, d: Int): (Array[Array[Double]], Array[Long]) = {
+    val sum = new Array[Array[Double]](keys)
+    val cnt = new Array[Long](keys)
+    chunks.foreach { c =>
+      if (sum(c.r) == null) sum(c.r) = new Array[Double](d)
+      VecOps.addToDD(sum(c.r), c.sum)
+      cnt(c.r) += c.cnt
+    }
+    (sum, cnt)
   }
 }

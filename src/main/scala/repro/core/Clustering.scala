@@ -98,6 +98,10 @@ object Clustering {
       track: Boolean = true,
       initLabels: Option[Array[Int]] = None,
   ): FitResult = {
+    initLabels.foreach { l =>
+      require(l.length == n && l.forall(x => x >= 0 && x < k),
+        s"initLabels must hold n=$n labels, each in [0, k=$k) (got ${l.length} labels)")
+    }
     val sc = points.sparkSession.sparkContext
     val t0 = System.nanoTime()
     val labels0 = initLabels.getOrElse(TwoMeansTree.cluster(points, n, k, d, seed))

@@ -3,7 +3,8 @@ package repro.core
 import org.apache.spark.sql.Dataset
 
 /** One clustering epoch: a single `mapPartitions` pass over the cached
-  * points that evaluates a move rule against candidate clusters.
+  * points that evaluates a move rule against candidate clusters and, in the
+  * same pass, re-sums the composites under the epoch's final labels.
   *
   * Two rules:
   *
@@ -12,8 +13,7 @@ import org.apache.spark.sql.Dataset
   *    are applied immediately against a copy-on-write local view of the
   *    composites, exactly the paper's incremental procedure; across
   *    partitions state is the epoch-start snapshot (the standard
-  *    distributed-incremental relaxation, re-aggregated exactly after the
-  *    pass by `ClusterState.fromLabels`).
+  *    distributed-incremental relaxation).
   *  - [[Engine.NearestRule]] — classic Lloyd assignment: move to the nearest
   *    candidate centroid, all evaluated against the epoch-start state, so a
   *    full-candidate epoch is *exactly* one Lloyd iteration (distortion
@@ -22,6 +22,10 @@ import org.apache.spark.sql.Dataset
   * Either rule scores each distinct candidate cluster other than the
   * point's own exactly once, in the order the generator first emits it;
   * `distEvals` counts those scorings.
+  *
+  * The new state is a re-sum, not a delta: each point is added to the
+  * partition's [[PartialSums]] under its final label, in the order
+  * `ClusterState.fromLabels` would add it, so the two agree bit for bit.
   */
 object Engine {
 
@@ -69,9 +73,10 @@ object Engine {
     }
   }
 
-  /** Run one epoch; returns updated labels and (by default) an exactly
-    * re-aggregated state. `recomputeState = false` skips the re-aggregation
-    * for callers that will recompute themselves.
+  /** Run one epoch; returns the new labels and (by default) their state,
+    * equal to `ClusterState.fromLabels(points, newLabels, k, d, Some(state))`.
+    * An epoch with no moves, or with `recomputeState = false` (for callers
+    * that recompute state themselves), returns `state` itself.
     */
   def epoch(
       points: Dataset[Point],
@@ -113,14 +118,15 @@ object Engine {
               evals += m
               m
             }
-            rule match {
-              case BoostRule =>
-                val ls = new LocalState(st)
-                it.foreach { p =>
-                  val u = lab(p.id.toInt)
-                  val x = p.vec
-                  val xx = VecOps.normSqF(x)
-                  val m = candidates(p, u)
+            val ls = if (rule == BoostRule) new LocalState(st) else null
+            val sums = new PartialSums(st.d)
+            it.foreach { p =>
+              val u = lab(p.id.toInt)
+              val x = p.vec
+              val xx = VecOps.normSqF(x)
+              val m = candidates(p, u)
+              val to = rule match {
+                case BoostRule =>
                   // Removal gain g(u) under the local (within-partition) state.
                   // nu >= 1 always: x itself is still a member of Sᵤ here.
                   val dotU = VecOps.dotFD(x, ls.compRow(u))
@@ -137,18 +143,9 @@ object Engine {
                     j += 1
                   }
                   val eps = 1e-9 * (xx + 1.0)
-                  if (best >= 0 && bestGain > eps) {
-                    ls.applyMove(x, xx, u, best, dotU, bestDotV)
-                    movedIds += p.id
-                    movedTo += best
-                  }
-                }
-              case NearestRule =>
-                it.foreach { p =>
-                  val u = lab(p.id.toInt)
-                  val x = p.vec
-                  val xx = VecOps.normSqF(x)
-                  val m = candidates(p, u)
+                  if (best >= 0 && bestGain > eps) { ls.applyMove(x, xx, u, best, dotU, bestDotV); best }
+                  else u
+                case NearestRule =>
                   var best = u
                   var bestD = st.sqDistToCentroid(x, xx, u)
                   var j = 0
@@ -158,10 +155,12 @@ object Engine {
                     if (dd < bestD) { bestD = dd; best = v }
                     j += 1
                   }
-                  if (best != u) { movedIds += p.id; movedTo += best }
-                }
+                  best
+              }
+              if (to != u) { movedIds += p.id; movedTo += to }
+              if (recomputeState) sums.add(to, x)
             }
-            Iterator.single(MoveChunk(movedIds.result(), movedTo.result(), evals))
+            Iterator.single(MoveChunk(movedIds.result(), movedTo.result(), evals, sums.chunks))
           }
           .collect()
       } finally { bcL.destroy(); bcS.destroy() }
@@ -177,7 +176,7 @@ object Engine {
     }
     val newState =
       if (recomputeState && moved > 0)
-        ClusterState.fromLabels(points, newLabels, state.k, state.d, Some(state))
+        ClusterState.fromSums(chunks.flatMap(_.sums), state.k, state.d, Some(state))
       else state
     EpochResult(newLabels, newState, moved, evals)
   }

@@ -10,8 +10,10 @@ import org.apache.spark.sql.{DataFrame, Dataset}
   */
 final case class Point(id: Long, vec: Array[Float])
 
-/** Per-partition chunk of accepted moves emitted by one `Engine.epoch` pass. */
-final case class MoveChunk(ids: Array[Long], target: Array[Int], evals: Long)
+/** Per-partition chunk of accepted moves emitted by one `Engine.epoch` pass,
+  * plus the partition's per-cluster sums under the new labels.
+  */
+final case class MoveChunk(ids: Array[Long], target: Array[Int], evals: Long, sums: Array[SumChunk])
 
 /** Per-partition sparse partial sum for one cluster (composite + count). */
 final case class SumChunk(r: Int, sum: Array[Double], cnt: Long)

@@ -129,34 +129,22 @@ object TwoMeansTree {
         val chunks = points
           .mapPartitions { it =>
             val lab = bcL.value; val cs = bcC.value
-            val acc = new java.util.HashMap[Int, Array[Double]]()
-            val num = new java.util.HashMap[Int, Long]()
+            val acc = new PartialSums(d)
             it.foreach { p =>
               val c = lab(p.id.toInt)
               if (cs(2 * c) != null) {
                 val side = if (VecOps.sqDistFD(p.vec, cs(2 * c)) <= VecOps.sqDistFD(p.vec, cs(2 * c + 1))) 0 else 1
-                val key = 2 * c + side
-                var a = acc.get(key)
-                if (a == null) { a = new Array[Double](d); acc.put(key, a); num.put(key, 0L) }
-                VecOps.addTo(a, p.vec)
-                num.put(key, num.get(key) + 1L)
+                acc.add(2 * c + side, p.vec)
               }
             }
-            import scala.jdk.CollectionConverters._
-            acc.entrySet().iterator().asScala.map(e => SumChunk(e.getKey, e.getValue, num.get(e.getKey)))
+            acc.chunks.iterator
           }
           .collect()
         bcC.destroy()
-        val sums = new java.util.HashMap[Int, (Array[Double], Long)]()
-        chunks.foreach { ch =>
-          val cur = sums.get(ch.r)
-          if (cur == null) sums.put(ch.r, (ch.sum, ch.cnt))
-          else { VecOps.addToDD(cur._1, ch.sum); sums.put(ch.r, (cur._1, cur._2 + ch.cnt)) }
-        }
+        val (sums, cnt) = PartialSums.merge(chunks, 2 * ac, d)
         toSplit.foreach { c =>
           Seq(2 * c, 2 * c + 1).foreach { key =>
-            val s = sums.get(key)
-            if (s != null && s._2 > 0) cents(key) = VecOps.centroidOf(s._1, s._2)
+            if (cnt(key) > 0) cents(key) = VecOps.centroidOf(sums(key), cnt(key))
           }
         }
         t += 1

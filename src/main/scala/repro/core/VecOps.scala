@@ -78,15 +78,4 @@ object VecOps {
     while (i < comp.length) { out(i) = comp(i) / cnt; i += 1 }
     out
   }
-
-  /** Mean of a non-empty collection of float vectors (double accumulator). */
-  def meanOf(vs: Iterable[Array[Float]], d: Int): Array[Double] = {
-    val acc = new Array[Double](d)
-    var n = 0L
-    vs.foreach { v => addTo(acc, v); n += 1 }
-    require(n > 0, "meanOf on empty collection")
-    var i = 0
-    while (i < d) { acc(i) /= n; i += 1 }
-    acc
-  }
 }

@@ -48,10 +48,6 @@ final class KnnGraph(
     while (m > p) { row(m) = row(m - 1); dd(m) = dd(m - 1); m -= 1 }
     row(p) = j; dd(p) = dist
   }
-
-  def top1(i: Int): Int = ids(i)(0)
-
-  def deepCopy: KnnGraph = new KnnGraph(ids.map(_.clone()), dists.map(_.clone()))
 }
 
 object KnnGraph {

@@ -108,16 +108,6 @@ class ClusterStateSpec extends SparkSpec {
     assert(math.abs(dd - 25.0) < 1e-9)
   }
 
-  test("deepCopy is independent of the original") {
-    val labels = TestData.randomLabels(n, 3, 9)
-    val st = ClusterState.fromLabels(points, labels, 3, d)
-    val cp = st.deepCopy
-    cp.comp(0)(0) += 100.0
-    cp.cnt(1) += 5
-    assert(st.comp(0)(0) != cp.comp(0)(0))
-    assert(st.cnt(1) != cp.cnt(1))
-  }
-
   test("nonEmptyClusters counts only populated clusters") {
     val labels = Array.tabulate(n)(i => i % 2)
     val st = ClusterState.fromLabels(points, labels, 5, d)

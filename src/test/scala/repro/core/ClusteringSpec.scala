@@ -123,6 +123,19 @@ class ClusteringSpec extends SparkSpec {
       Clustering.gkMeans(points, n, 15, d, g.ids, 6, 2, 15),
     ).foreach { fit =>
       assert(fit.labels.forall(l => l >= 0 && l < 15))
+      val rebuilt = ClusterState.fromLabels(points, fit.labels, 15, d, Some(fit.state))
+      assert(fit.state.cnt sameElements rebuilt.cnt)
+      (0 until 15).foreach(r => assert(fit.state.comp(r) sameElements rebuilt.comp(r)))
+    }
+  }
+
+  test("gkMeans rejects init labels of the wrong length or outside [0, k)") {
+    val k = 10
+    val g = Array.tabulate(n)(i => Array((i + 1) % n))
+    val ok = Array.tabulate(n)(_ % k)
+    Seq(ok.updated(0, k), ok.updated(0, -1), ok.take(n - 1)).foreach { bad =>
+      assertThrows[IllegalArgumentException](
+        Clustering.gkMeans(points, n, k, d, g, 1, iters = 1, seed = 17, initLabels = Some(bad)))
     }
   }
 

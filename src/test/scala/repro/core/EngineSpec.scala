@@ -87,14 +87,25 @@ class EngineSpec extends SparkSpec {
   }
 
   test("epoch state equals a from-scratch recompute of its labels") {
+    // Cluster k-1 starts empty with a non-zero fallback centroid and no
+    // candidate list names it, so the fallback path runs too.
     val k = 6
-    val labels = TestData.randomLabels(n, k, 5)
-    val r = Engine.epoch(points, labels, freshState(labels, k), new AllClustersGen(k), Engine.BoostRule)
-    val rebuilt = ClusterState.fromLabels(points, r.labels, k, d)
-    assert(r.state.cnt.toSeq == rebuilt.cnt.toSeq)
-    (0 until k).foreach { c =>
-      (0 until d).foreach(i => assert(math.abs(r.state.comp(c)(i) - rebuilt.comp(c)(i)) < 1e-6))
-    }
+    val seeded = TestData.randomLabels(n, k, 5)
+    val labels = seeded.map(l => if (l == k - 1) 0 else l)
+    val four = points.repartition(4).cache()
+    four.count()
+    try {
+      Seq(points, four).foreach { pts =>
+        val st = ClusterState.fromLabels(pts, labels, k, d, Some(ClusterState.fromLabels(pts, seeded, k, d)))
+        Seq(Engine.NearestRule, Engine.BoostRule).foreach { rule =>
+          val r = Engine.epoch(pts, labels, st, new AllClustersGen(k - 1), rule)
+          val rebuilt = ClusterState.fromLabels(pts, r.labels, k, d, Some(st))
+          assert(r.moved > 0 && r.state.cnt(k - 1) == 0, s"$rule")
+          assert(r.state.cnt sameElements rebuilt.cnt, s"$rule")
+          (0 until k).foreach(c => assert(r.state.comp(c) sameElements rebuilt.comp(c), s"$rule cluster $c"))
+        }
+      }
+    } finally four.unpersist()
   }
 
   test("a converged Lloyd fixpoint reports zero moves") {
@@ -107,6 +118,7 @@ class EngineSpec extends SparkSpec {
     }
     val r = Engine.epoch(points, labels, st, new AllClustersGen(k), Engine.NearestRule)
     assert(r.moved == 0)
+    assert(r.state eq st)
   }
 
   test("distEvals for a full scan is at most n*k and positive") {

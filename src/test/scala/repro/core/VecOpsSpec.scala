@@ -111,27 +111,4 @@ class VecOpsSpec extends AnyFunSuite {
     VecOps.centroidOf(comp, 2)
     assert(comp sameElements Array(10.0, 20.0))
   }
-
-  test("meanOf of identical vectors is that vector") {
-    val m = VecOps.meanOf(Seq(Array(1f, 2f), Array(1f, 2f), Array(1f, 2f)), 2)
-    assert(math.abs(m(0) - 1.0) < 1e-12 && math.abs(m(1) - 2.0) < 1e-12)
-  }
-
-  test("meanOf averages") {
-    val m = VecOps.meanOf(Seq(Array(0f, 0f), Array(2f, 4f)), 2)
-    assert(m sameElements Array(1.0, 2.0))
-  }
-
-  test("meanOf on empty input throws") {
-    assertThrows[IllegalArgumentException](VecOps.meanOf(Seq.empty, 3))
-  }
-
-  test("meanOf lies inside the coordinate-wise envelope") {
-    forAll(Gen.nonEmptyListOf(Gen.listOfN(4, Gen.choose(-50.0f, 50.0f)).map(_.toArray))) { vs =>
-      val m = VecOps.meanOf(vs, 4)
-      (0 until 4).foreach { i =>
-        assert(m(i) >= vs.map(_(i)).min - 1e-6 && m(i) <= vs.map(_(i)).max + 1e-6)
-      }
-    }
-  }
 }

@@ -96,11 +96,6 @@ class KnnGraphSpec extends AnyFunSuite {
     assert(g.dists(0).toSeq == Seq(1.0, 2.0))
   }
 
-  test("top1 returns the closest entry") {
-    val g = new KnnGraph(Array(Array(4, 2)), Array(Array(0.1, 0.2)))
-    assert(g.top1(0) == 4)
-  }
-
   test("bruteForce graph matches an independent reference") {
     val vecs = randVecs(25, 4, 5)
     val g = KnnGraph.bruteForce(vecs, 3)
@@ -115,12 +110,5 @@ class KnnGraphSpec extends AnyFunSuite {
   test("bruteForce caps kappa at n-1") {
     val g = KnnGraph.bruteForce(randVecs(4, 3, 6), 10)
     assert(g.kappa == 3)
-  }
-
-  test("deepCopy is independent") {
-    val g = KnnGraph.random(10, 3, 7)
-    val c = g.deepCopy
-    c.ids(0)(0) = -1
-    assert(g.ids(0)(0) != -1)
   }
 }
