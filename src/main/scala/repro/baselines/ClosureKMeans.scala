@@ -93,20 +93,17 @@ object ClosureKMeans {
     val seedState = ClusterState.fromCentroids(seedIds.map(id => seedVecs(id).map(_.toDouble)))
     val seedOf = Array.fill(n)(-1)
     seedIds.zipWithIndex.foreach { case (id, c) => seedOf(id.toInt) = c }
-    val bcM0 = sc.broadcast(memberOf)
-    val bcB0 = sc.broadcast(buckets)
-    val bcS0 = sc.broadcast(seedOf)
-    val init =
-      try Engine.epoch(points, Array.tabulate(n)(i => i % k), seedState,
-        new SeedClosureGen(bcM0, bcB0, bcS0, k), Engine.NearestRule)
-      finally { bcM0.destroy(); bcB0.destroy(); bcS0.destroy() }
-    val initMs = (System.nanoTime() - t0) / 1000000
-
     val bcM = sc.broadcast(memberOf)
     val bcB = sc.broadcast(buckets)
     try {
+      val bcS = sc.broadcast(seedOf)
+      val init =
+        try Engine.epoch(points, Array.tabulate(n)(i => i % k), seedState,
+          new SeedClosureGen(bcM, bcB, bcS, k), Engine.NearestRule)
+        finally bcS.destroy()
+      val initMs = (System.nanoTime() - t0) / 1000000
       Clustering.iterate(
-        points, n, k, d, init.labels, init.state, iters,
+        points, n, k, init.labels, init.state, iters,
         new ClosureGen(bcM, bcB), Engine.NearestRule, track, initMs, init.distEvals)
     } finally { bcM.destroy(); bcB.destroy() }
   }

@@ -26,11 +26,8 @@ object MiniBatchKMeans {
       evalEvery: Int = 0, // 0 = evaluate distortion only at the end
   ): FitResult = {
     val t0 = System.nanoTime()
-    val cents = {
-      val ids = Clustering.sampleIds(n, k, seed)
-      val vecs = Points.fetchVecs(points, ids.toSeq)
-      ids.map(id => vecs(id).map(_.toDouble))
-    }
+    // The seed state's fallback centroids, updated in place batch by batch.
+    val cents = Clustering.randomSeedState(points, n, k, d, seed).comp
     val counts = new Array[Long](k)
     val initMs = (System.nanoTime() - t0) / 1000000
 
@@ -38,14 +35,9 @@ object MiniBatchKMeans {
     val dist = Vector.newBuilder[Double]
     var evalMs = 0L
 
-    def evalDistortion(): Double = {
-      val te = System.nanoTime()
-      val st = ClusterState.fromCentroids(cents)
-      val r = Engine.epoch(points, new Array[Int](n), st, new AllClustersGen(k), Engine.NearestRule)
-      val e = r.state.distortion(sumSq, n)
-      evalMs += (System.nanoTime() - te) / 1000000
-      e
-    }
+    /** Full nearest assignment of every point to the current centres. */
+    def assign(): Engine.EpochResult =
+      Engine.epoch(points, new Array[Int](n), ClusterState.fromCentroids(cents), new AllClustersGen(k), Engine.NearestRule)
 
     val t1 = System.nanoTime()
     val fraction = math.min(1.0, batchSize.toDouble / n)
@@ -68,15 +60,17 @@ object MiniBatchKMeans {
         while (i < d) { cents(best)(i) = (1.0 - eta) * cents(best)(i) + eta * p.vec(i); i += 1 }
       }
       b += 1
-      if (evalEvery > 0 && b % evalEvery == 0 && b < batches) dist += evalDistortion()
+      if (evalEvery > 0 && b % evalEvery == 0 && b < batches) {
+        val te = System.nanoTime()
+        dist += assign().state.distortion(sumSq, n)
+        evalMs += (System.nanoTime() - te) / 1000000
+      }
     }
     // Final labels/state via one full assignment (evaluation, like the paper
     // measuring distortion of the mini-batch model on the full set).
-    val st = ClusterState.fromCentroids(cents)
-    val fin = Engine.epoch(points, new Array[Int](n), st, new AllClustersGen(k), Engine.NearestRule)
-    val finState = fin.state
-    dist += finState.distortion(sumSq, n)
+    val fin = assign()
+    dist += fin.state.distortion(sumSq, n)
     val iterMs = (System.nanoTime() - t1) / 1000000 - evalMs
-    FitResult(fin.labels, finState, k, initMs, iterMs, dist.result(), evals, fin.moved)
+    FitResult(fin.labels, fin.state, k, initMs, iterMs, dist.result(), evals, fin.moved)
   }
 }

@@ -47,38 +47,25 @@ object Clustering {
   }
 
   /** Traditional k-means: random seeds, full-scan nearest assignment. */
-  def lloyd(
-      points: Dataset[Point],
-      n: Int,
-      k: Int,
-      d: Int,
-      iters: Int,
-      seed: Long,
-      track: Boolean = true,
-  ): FitResult = {
-    val t0 = System.nanoTime()
-    val seedState = randomSeedState(points, n, k, d, seed)
-    // Initial assignment pass against the seed centroids.
-    val init = Engine.epoch(points, new Array[Int](n), seedState, new AllClustersGen(k), Engine.NearestRule)
-    val initMs = (System.nanoTime() - t0) / 1000000
-    iterate(points, n, k, d, init.labels, init.state, iters, new AllClustersGen(k), Engine.NearestRule, track, initMs, init.distEvals)
-  }
+  def lloyd(points: Dataset[Point], n: Int, k: Int, d: Int, iters: Int, seed: Long, track: Boolean = true): FitResult =
+    fullScan(points, n, k, d, iters, seed, Engine.NearestRule, track)
 
   /** Boost k-means [16]: random seeds + nearest init, then ΔI epochs. */
-  def boost(
-      points: Dataset[Point],
-      n: Int,
-      k: Int,
-      d: Int,
-      iters: Int,
-      seed: Long,
-      track: Boolean = true,
+  def boost(points: Dataset[Point], n: Int, k: Int, d: Int, iters: Int, seed: Long, track: Boolean = true): FitResult =
+    fullScan(points, n, k, d, iters, seed, Engine.BoostRule, track)
+
+  /** Random seeds and one nearest assignment pass against them, then `rule`
+    * epochs over all k clusters.
+    */
+  private def fullScan(
+      points: Dataset[Point], n: Int, k: Int, d: Int, iters: Int, seed: Long,
+      rule: Engine.Rule, track: Boolean,
   ): FitResult = {
     val t0 = System.nanoTime()
     val seedState = randomSeedState(points, n, k, d, seed)
     val init = Engine.epoch(points, new Array[Int](n), seedState, new AllClustersGen(k), Engine.NearestRule)
     val initMs = (System.nanoTime() - t0) / 1000000
-    iterate(points, n, k, d, init.labels, init.state, iters, new AllClustersGen(k), Engine.BoostRule, track, initMs, init.distEvals)
+    iterate(points, n, k, init.labels, init.state, iters, new AllClustersGen(k), rule, track, initMs, init.distEvals)
   }
 
   /** GK-means (paper Alg. 2): 2M-tree initial clusters, then epochs where
@@ -108,7 +95,7 @@ object Clustering {
     val state0 = ClusterState.fromLabels(points, labels0, k, d)
     val initMs = (System.nanoTime() - t0) / 1000000
     val bcG = sc.broadcast(graph)
-    try iterate(points, n, k, d, labels0, state0, iters, new GraphNbrGen(bcG, kappa), rule, track, initMs, 0L)
+    try iterate(points, n, k, labels0, state0, iters, new GraphNbrGen(bcG, kappa), rule, track, initMs, 0L)
     finally bcG.destroy()
   }
 
@@ -117,7 +104,6 @@ object Clustering {
       points: Dataset[Point],
       n: Int,
       k: Int,
-      d: Int,
       labels0: Array[Int],
       state0: ClusterState,
       iters: Int,

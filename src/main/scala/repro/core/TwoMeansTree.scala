@@ -17,29 +17,27 @@ final case class Labeled(id: Long, label: Int)
   * equal-size adjustment until k clusters exist — `O(d·n·log k)`. Here the
   * top of the tree is level-synchronous over the whole `Dataset[Point]`
   * (every still-too-coarse cluster is bisected in the same pass: seed pick,
-  * a few 2-means rounds of sparse partial sums, then a margin pass cut at
-  * the per-cluster median), and once the tree is wider than
-  * `maxDistributedClusters` the remaining subtrees are finished inside
-  * parallel `flatMapGroups` tasks with `LocalKMeans.twoMeansTree`, each
-  * subtree getting a leaf quota proportional to its size (which is what the
-  * paper's pop-largest rule converges to, since splits are equal-size).
+  * `TwoMeansIters` (2) 2-means rounds of sparse partial sums, then a margin
+  * pass cut at the per-cluster median), and once the tree is
+  * `MaxDistributedClusters` (64) wide the remaining subtrees are finished
+  * inside parallel `flatMapGroups` tasks with `LocalKMeans.twoMeansTree`,
+  * each subtree getting a leaf quota proportional to its size (which is what
+  * the paper's pop-largest rule converges to, since splits are equal-size).
   */
 object TwoMeansTree {
 
-  def cluster(
-      points: Dataset[Point],
-      n: Int,
-      k: Int,
-      d: Int,
-      seed: Long,
-      maxDistributedClusters: Int = 64,
-      twoMeansIters: Int = 2,
-  ): Array[Int] = {
+  /** Tree width at which the level-synchronous top hands over to the local finish. */
+  private val MaxDistributedClusters = 64
+
+  /** 2-means rounds per distributed bisection, before the median cut. */
+  private val TwoMeansIters = 2
+
+  def cluster(points: Dataset[Point], n: Int, k: Int, d: Int, seed: Long): Array[Int] = {
     require(k >= 1 && k <= n, s"need 1 <= k=$k <= n=$n")
     val labels = new Array[Int](n)
     if (k == 1) return labels
 
-    val target1 = math.min(k, maxDistributedClusters)
+    val target1 = math.min(k, MaxDistributedClusters)
     var ac = 1 // active cluster count; labels are dense in [0, ac)
     var round = 0
     while (ac < target1) {
@@ -49,7 +47,7 @@ object TwoMeansTree {
         if (2 * ac <= target1) splittable
         else splittable.sortBy(-sizes(_)).take(target1 - ac)
       require(toSplit.nonEmpty, s"no splittable cluster at ac=$ac (n=$n, k=$k)")
-      ac = bisectDistributed(points, labels, ac, toSplit.toArray, d, seed ^ (round * 0x9E3779B9L), twoMeansIters)
+      ac = bisectDistributed(points, labels, ac, toSplit.toArray, d, seed ^ (round * 0x9E3779B9L))
       round += 1
     }
 
@@ -91,7 +89,6 @@ object TwoMeansTree {
       toSplit: Array[Int],
       d: Int,
       seed: Long,
-      twoMeansIters: Int,
   ): Int = {
     val sp = points.sparkSession
     import sp.implicits._
@@ -124,7 +121,7 @@ object TwoMeansTree {
     val bcL = sp.sparkContext.broadcast(labels.clone())
     try {
       var t = 0
-      while (t < twoMeansIters) {
+      while (t < TwoMeansIters) {
         val bcC = sp.sparkContext.broadcast(cents)
         val chunks = points
           .mapPartitions { it =>

@@ -47,14 +47,14 @@ object ExpRow {
 }
 
 /** Timed experiment runners reproducing the paper's evaluation section.
-  * Every bench suite and every `jobs/` entrypoint goes through these, so a
-  * table row is reproducible from one function call.
+  * Every `jobs/` entrypoint goes through these, so a table row is
+  * reproducible from one function call.
   */
 object Experiments {
 
   def ms2s(ms: Long): Double = ms / 1000.0
 
-  /** Named dataset generators for Table 1 / the figure benches. */
+  /** Named dataset generators for Table 1 / the figure sweeps. */
   def dataset(spark: SparkSession, name: String, n: Long, seed: Long = 42): DataFrame = name match {
     case "sift"  => SynthData.siftLite(spark, n, nCenters = math.max(64, (n / 100).toInt), seed)
     case "vlad"  => SynthData.vladLite(spark, n, nCenters = math.max(64, (n / 50).toInt), seed)

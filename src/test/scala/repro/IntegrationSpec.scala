@@ -31,8 +31,7 @@ class IntegrationSpec extends SparkSpec {
   test("miniature Table 2 runs end-to-end and orders methods plausibly") {
     val cfg = Table2Config(
       n = 1500, k = 150, kappa = 8, xi = 25, tau = 3, iters = 5,
-      nndIters = 2, rho = 0.5, probes = 60, closureBucket = 30,
-      includeBkmReference = true, seed = 3)
+      nndIters = 2, rho = 0.5, probes = 60, closureBucket = 30, seed = 3)
     val (rows, estimate) = Tables.table2(spark, cfg)
     assert(rows.map(_.method) == Seq("KGraph+GK-means", "GK-means", "closure k-means", "BKM (ref)"))
     assert(rows.forall(r => r.distortion > 0 && r.totalSec > 0))
