@@ -39,9 +39,6 @@ final class ClusterState(
       xx - 2.0 * VecOps.dotFD(x, comp(r)) + compNormSq(r)
     }
 
-  def nonEmptyClusters: Int = cnt.count(_ > 0)
-  def totalCount: Long = cnt.sum
-
   /** Σᵣ ‖Dᵣ‖²/nᵣ over non-empty clusters — the boost-k-means objective I. */
   def objectiveI: Double = {
     var s = 0.0; var r = 0

@@ -83,15 +83,10 @@ object Clustering {
       seed: Long,
       rule: Engine.Rule = Engine.BoostRule,
       track: Boolean = true,
-      initLabels: Option[Array[Int]] = None,
   ): FitResult = {
-    initLabels.foreach { l =>
-      require(l.length == n && l.forall(x => x >= 0 && x < k),
-        s"initLabels must hold n=$n labels, each in [0, k=$k) (got ${l.length} labels)")
-    }
     val sc = points.sparkSession.sparkContext
     val t0 = System.nanoTime()
-    val labels0 = initLabels.getOrElse(TwoMeansTree.cluster(points, n, k, d, seed))
+    val labels0 = TwoMeansTree.cluster(points, n, k, d, seed)
     val state0 = ClusterState.fromLabels(points, labels0, k, d)
     val initMs = (System.nanoTime() - t0) / 1000000
     val bcG = sc.broadcast(graph)

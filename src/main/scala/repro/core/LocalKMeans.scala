@@ -1,89 +1,11 @@
 package repro.core
 
-import scala.collection.mutable
-import scala.util.Random
-
-/** In-memory (single-task) clustering kernels.
+/** In-memory (single-task) kernel of the Alg. 3 graph builder.
   *
-  * These run inside `flatMapGroups` tasks once the distributed two-means
-  * levels have cut the data into groups small enough for one executor task
-  * (paper Alg. 1 recursion below the distributed levels), and inside tests.
+  * `GraphBuilder.build` runs it inside one `flatMapGroups` task per GK-means
+  * cluster; each group holds ~ξ points, so the exhaustive join is local.
   */
 object LocalKMeans {
-
-  /** Bisect the points at `idx` into two equal halves (paper Alg. 1 steps
-    * 8-9): a few 2-means rounds to orient the split, then the equal-size
-    * adjustment — sort by margin `d(x,c₁) − d(x,c₂)` and cut at the median.
-    *
-    * Returns (left indices, right indices); sizes differ by at most 1.
-    */
-  def bisectEqual(
-      vecs: Array[Array[Float]],
-      idx: Array[Int],
-      rng: Random,
-      iters: Int = 3,
-  ): (Array[Int], Array[Int]) = {
-    require(idx.length >= 2, "cannot bisect fewer than 2 points")
-    val d = vecs(idx(0)).length
-    // Two distinct random seeds.
-    val s1 = idx(rng.nextInt(idx.length))
-    var s2 = idx(rng.nextInt(idx.length))
-    var guard = 0
-    while (s2 == s1 && guard < 16) { s2 = idx(rng.nextInt(idx.length)); guard += 1 }
-    var c1 = vecs(s1).map(_.toDouble)
-    var c2 = vecs(s2).map(_.toDouble)
-
-    var t = 0
-    while (t < iters) {
-      val a1 = new Array[Double](d); val a2 = new Array[Double](d)
-      var n1 = 0L; var n2 = 0L
-      var i = 0
-      while (i < idx.length) {
-        val v = vecs(idx(i))
-        if (VecOps.sqDistFD(v, c1) <= VecOps.sqDistFD(v, c2)) { VecOps.addTo(a1, v); n1 += 1 }
-        else { VecOps.addTo(a2, v); n2 += 1 }
-        i += 1
-      }
-      if (n1 > 0) c1 = VecOps.centroidOf(a1, n1)
-      if (n2 > 0) c2 = VecOps.centroidOf(a2, n2)
-      t += 1
-    }
-
-    // Equal-size adjustment: margin sort, cut in the middle.
-    val margins = idx.map { j =>
-      val v = vecs(j)
-      (VecOps.sqDistFD(v, c1) - VecOps.sqDistFD(v, c2), j)
-    }
-    val sorted = margins.sortBy(m => (m._1, m._2))
-    val half = idx.length / 2 + (idx.length % 2) // left gets the extra on odd sizes
-    (sorted.take(half).map(_._2), sorted.drop(half).map(_._2))
-  }
-
-  /** Local two-means tree (paper Alg. 1): repeatedly pop the largest cluster
-    * and bisect it with the equal-size adjustment until `leaves` clusters
-    * exist. Returns a label in `[0, leaves)` per input position.
-    */
-  def twoMeansTree(vecs: Array[Array[Float]], leaves: Int, seed: Long): Array[Int] = {
-    require(leaves >= 1 && leaves <= vecs.length, s"need 1 <= leaves=$leaves <= n=${vecs.length}")
-    val rng = new Random(seed)
-    val labels = new Array[Int](vecs.length)
-    if (leaves == 1) return labels
-
-    // Max-heap of clusters by size; each cluster is its member indices.
-    implicit val bySize: Ordering[Array[Int]] = Ordering.by((a: Array[Int]) => a.length)
-    val pq = mutable.PriorityQueue[Array[Int]](Array.range(0, vecs.length))
-    while (pq.size < leaves) {
-      val big = pq.dequeue()
-      val (l, r) = bisectEqual(vecs, big, rng)
-      pq.enqueue(l); pq.enqueue(r)
-    }
-    var lab = 0
-    pq.dequeueAll[Array[Int]].foreach { cluster =>
-      cluster.foreach(i => labels(i) = lab)
-      lab += 1
-    }
-    labels
-  }
 
   /** Exhaustive in-cluster k-NN lists (paper Alg. 3 lines 8-14, one cluster):
     * for every member, the `κ` closest other members with distances.

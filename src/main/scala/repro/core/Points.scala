@@ -49,12 +49,21 @@ object Points {
   }
 
   /** Collect all vectors ordered by id — used where the model (not the data)
-    * needs random access, e.g. NN-Descent candidate distances. Caller is
-    * responsible for keeping n small enough to broadcast (documented per use).
+    * needs random access, e.g. NN-Descent candidate distances and the
+    * two-means tree. Caller is responsible for keeping n small enough to hold
+    * on the driver (documented per use). Rejects ids outside `[0, n)`, ids
+    * that are not dense, vectors whose length is not `d` and values that are
+    * not finite.
     */
-  def collectVecs(points: Dataset[Point], n: Int): Array[Array[Float]] = {
+  def collectVecs(points: Dataset[Point], n: Int, d: Int): Array[Array[Float]] = {
     val out = new Array[Array[Float]](n)
-    points.collect().foreach { p => out(p.id.toInt) = p.vec }
+    points.collect().foreach { p =>
+      require(p.id >= 0 && p.id < n, s"id ${p.id} is outside [0, $n)")
+      require(p.vec.length == d, s"point ${p.id} has ${p.vec.length} values, expected d=$d")
+      var j = 0
+      while (j < d) { require(java.lang.Float.isFinite(p.vec(j)), s"point ${p.id} has a value that is not finite"); j += 1 }
+      out(p.id.toInt) = p.vec
+    }
     require(!out.contains(null), s"ids are not dense in [0, $n)")
     out
   }

@@ -49,13 +49,14 @@ object GraphBuilder {
     val sp = points.sparkSession
     import sp.implicits._
     val k0 = math.max(2, n / xi)
-    val graph = KnnGraph.random(n, math.min(kappa, n - 1), seed)
+    val kap = math.min(kappa, n - 1) // the join closure reads this, not `graph.kappa`, so its tasks do not carry the graph
+    val graph = KnnGraph.random(n, kap, seed)
     val recalls = Vector.newBuilder[Double]
     val t0 = System.nanoTime()
     var t = 0
     while (t < tau) {
       val fit = Clustering.gkMeans(
-        points, n, k0, d, graph.ids, graph.kappa, iters = 1,
+        points, n, k0, d, graph.ids, kap, iters = 1,
         seed = seed ^ (1000003L * (t + 1)), rule = Engine.BoostRule, track = false)
       val bcL = sp.sparkContext.broadcast(fit.labels)
       val chunks =
@@ -64,7 +65,7 @@ object GraphBuilder {
             .groupByKey(p => bcL.value(p.id.toInt))
             .flatMapGroups { (_, it) =>
               val members = it.toArray.sortBy(_.id)
-              LocalKMeans.inClusterTopK(members.map(_.id), members.map(_.vec), graph.kappa).iterator
+              LocalKMeans.inClusterTopK(members.map(_.id), members.map(_.vec), kap).iterator
             }
             .collect()
         } finally bcL.destroy()

@@ -38,7 +38,7 @@ object NNDescent {
     import sp.implicits._
     val t0 = System.nanoTime()
     val kap = math.min(kappa, n - 1)
-    val vecs = Points.collectVecs(points, n)
+    val vecs = Points.collectVecs(points, n, d)
     val bcV = sp.sparkContext.broadcast(vecs)
     val recalls = Vector.newBuilder[Double]
     try {

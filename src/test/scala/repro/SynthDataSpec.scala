@@ -79,14 +79,14 @@ class SynthDataSpec extends SparkSpec {
   }
 
   test("uniformVectors values stay in [0, scale]") {
-    val vs = Points.collectVecs(Points.fromDF(SynthData.uniformVectors(spark, 60, 4, seed = 3, scale = 2.0)), 60)
+    val vs = Points.collectVecs(Points.fromDF(SynthData.uniformVectors(spark, 60, 4, seed = 3, scale = 2.0)), 60, 4)
     assert(vs.flatten.forall(v => v >= 0.0f && v <= 2.0f))
   }
 
   test("siftLite is 128-dimensional with a [0,255]-like range") {
     val df = SynthData.siftLite(spark, n = 500, nCenters = 10)
     assert(df.selectExpr("size(vec) as s").agg(max("s")).head().getInt(0) == 128)
-    val mx = Points.collectVecs(Points.fromDF(df), 500).flatten.max
+    val mx = Points.collectVecs(Points.fromDF(df), 500, 128).flatten.max
     // centres live in [0,255]; noise sigma is 0.28*255, so the max stays
     // within a few sigma of the range
     assert(mx > 50.0f && mx < 255.0f + 6 * 72.0f)

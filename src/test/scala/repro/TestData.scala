@@ -25,9 +25,9 @@ object TestData {
   lazy val d4Df: DataFrame = SynthData.clusteredVectors(spark, 200, 4, 5, noise = 0.1, seed = 103).cache()
   lazy val d4: Dataset[Point] = Points.cached(d4Df)
 
-  lazy val tinyVecs: Array[Array[Float]] = Points.collectVecs(tiny, 600)
-  lazy val smallVecs: Array[Array[Float]] = Points.collectVecs(small, 3000)
-  lazy val d4Vecs: Array[Array[Float]] = Points.collectVecs(d4, 200)
+  lazy val tinyVecs: Array[Array[Float]] = Points.collectVecs(tiny, 600, 8)
+  lazy val smallVecs: Array[Array[Float]] = Points.collectVecs(small, 3000, 16)
+  lazy val d4Vecs: Array[Array[Float]] = Points.collectVecs(d4, 200, 4)
 
   def collectGt(df: DataFrame, n: Int): Array[Int] = {
     val out = new Array[Int](n)

@@ -33,7 +33,7 @@ class ClusterStateSpec extends SparkSpec {
 
   test("fromLabels counts sum to n") {
     val labels = TestData.randomLabels(n, 11, 2)
-    assert(ClusterState.fromLabels(points, labels, 11, d).totalCount == n)
+    assert(ClusterState.fromLabels(points, labels, 11, d).cnt.sum == n)
   }
 
   test("centroid is composite over count") {
@@ -111,7 +111,7 @@ class ClusterStateSpec extends SparkSpec {
   test("nonEmptyClusters counts only populated clusters") {
     val labels = Array.tabulate(n)(i => i % 2)
     val st = ClusterState.fromLabels(points, labels, 5, d)
-    assert(st.nonEmptyClusters == 2)
+    assert(st.cnt.count(_ > 0) == 2)
   }
 
   test("oracle: cluster sizes match DuckDB") {

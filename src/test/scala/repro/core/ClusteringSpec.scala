@@ -102,13 +102,6 @@ class ClusteringSpec extends SparkSpec {
       s"gk=${gk.finalDistortion} gk-=${gkMinus.finalDistortion}")
   }
 
-  test("gkMeans accepts precomputed init labels") {
-    val g = KnnGraph.bruteForce(vecs, 6)
-    val init = TwoMeansTree.cluster(points, n, 40, d, seed = 13)
-    val fit = Clustering.gkMeans(points, n, 40, d, g.ids, 6, iters = 2, seed = 13, initLabels = Some(init))
-    assert(fit.labels.distinct.length <= 40 && fit.finalDistortion > 0)
-  }
-
   test("early stop when no sample moves") {
     val fit = Clustering.lloyd(TestData.tiny, 600, 4, 8, iters = 50, seed = 14)
     // 50 iterations requested; a converged run records fewer distortion points
@@ -126,16 +119,6 @@ class ClusteringSpec extends SparkSpec {
       val rebuilt = ClusterState.fromLabels(points, fit.labels, 15, d, Some(fit.state))
       assert(fit.state.cnt sameElements rebuilt.cnt)
       (0 until 15).foreach(r => assert(fit.state.comp(r) sameElements rebuilt.comp(r)))
-    }
-  }
-
-  test("gkMeans rejects init labels of the wrong length or outside [0, k)") {
-    val k = 10
-    val g = Array.tabulate(n)(i => Array((i + 1) % n))
-    val ok = Array.tabulate(n)(_ % k)
-    Seq(ok.updated(0, k), ok.updated(0, -1), ok.take(n - 1)).foreach { bad =>
-      assertThrows[IllegalArgumentException](
-        Clustering.gkMeans(points, n, k, d, g, 1, iters = 1, seed = 17, initLabels = Some(bad)))
     }
   }
 

@@ -3,8 +3,9 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-/** Local (in-task) kernels: equal-size bisection, local two-means tree, and
-  * the in-cluster exhaustive top-κ refinement of Alg. 3.
+/** In-memory kernels, no Spark: the equal-size bisection and pop-largest
+  * tree of Alg. 1 (`TwoMeansTree`) and the in-cluster exhaustive top-κ
+  * refinement of Alg. 3 (`LocalKMeans`).
   */
 class LocalKMeansSpec extends AnyFunSuite {
 
@@ -21,20 +22,20 @@ class LocalKMeansSpec extends AnyFunSuite {
 
   test("bisectEqual splits an even set into equal halves") {
     val (vecs, _) = mixture(100, 4, 2, 1)
-    val (l, r) = LocalKMeans.bisectEqual(vecs, Array.range(0, 100), new Random(1))
+    val (l, r) = TwoMeansTree.bisectEqual(vecs, Array.range(0, 100), new Random(1))
     assert(l.length == 50 && r.length == 50)
   }
 
   test("bisectEqual on odd sizes differs by exactly one") {
     val (vecs, _) = mixture(101, 4, 2, 2)
-    val (l, r) = LocalKMeans.bisectEqual(vecs, Array.range(0, 101), new Random(1))
+    val (l, r) = TwoMeansTree.bisectEqual(vecs, Array.range(0, 101), new Random(1))
     assert(math.abs(l.length - r.length) == 1)
   }
 
   test("bisectEqual partitions the input exactly") {
     val (vecs, _) = mixture(60, 3, 3, 3)
     val idx = Array.range(0, 60)
-    val (l, r) = LocalKMeans.bisectEqual(vecs, idx, new Random(2))
+    val (l, r) = TwoMeansTree.bisectEqual(vecs, idx, new Random(2))
     assert((l ++ r).sorted sameElements idx)
   }
 
@@ -44,7 +45,7 @@ class LocalKMeansSpec extends AnyFunSuite {
       val base = if (i < 40) 0f else 100f
       Array.tabulate(4)(_ => base + rng.nextGaussian().toFloat)
     }
-    val (l, r) = LocalKMeans.bisectEqual(vecs, Array.range(0, 80), new Random(5))
+    val (l, r) = TwoMeansTree.bisectEqual(vecs, Array.range(0, 80), new Random(5))
     val lSet = l.toSet
     // one side should be exactly one blob
     assert(lSet == (0 until 40).toSet || lSet == (40 until 80).toSet)
@@ -52,13 +53,13 @@ class LocalKMeansSpec extends AnyFunSuite {
 
   test("bisectEqual refuses singleton input") {
     val (vecs, _) = mixture(5, 2, 1, 5)
-    assertThrows[IllegalArgumentException](LocalKMeans.bisectEqual(vecs, Array(1), new Random(1)))
+    assertThrows[IllegalArgumentException](TwoMeansTree.bisectEqual(vecs, Array(1), new Random(1)))
   }
 
   for (leaves <- Seq(1, 2, 3, 7, 16, 50)) {
     test(s"twoMeansTree produces exactly $leaves non-empty leaves") {
       val (vecs, _) = mixture(200, 6, 8, 6)
-      val labels = LocalKMeans.twoMeansTree(vecs, leaves, 7)
+      val labels = TwoMeansTree.twoMeansTree(vecs, leaves, 7)
       assert(labels.forall(l => l >= 0 && l < leaves))
       assert(labels.distinct.length == leaves)
     }
@@ -66,27 +67,27 @@ class LocalKMeansSpec extends AnyFunSuite {
 
   test("twoMeansTree leaf sizes are near-equal") {
     val (vecs, _) = mixture(256, 6, 8, 8)
-    val labels = LocalKMeans.twoMeansTree(vecs, 16, 9)
+    val labels = TwoMeansTree.twoMeansTree(vecs, 16, 9)
     val sizes = labels.groupBy(identity).map(_._2.length)
     assert(sizes.max <= 2 * sizes.min, s"sizes=$sizes")
   }
 
   test("twoMeansTree with leaves == n gives singleton clusters") {
     val (vecs, _) = mixture(40, 4, 4, 10)
-    val labels = LocalKMeans.twoMeansTree(vecs, 40, 11)
+    val labels = TwoMeansTree.twoMeansTree(vecs, 40, 11)
     assert(labels.distinct.length == 40)
   }
 
   test("twoMeansTree is deterministic in the seed") {
     val (vecs, _) = mixture(120, 5, 6, 12)
-    val a = LocalKMeans.twoMeansTree(vecs, 10, 13)
-    val b = LocalKMeans.twoMeansTree(vecs, 10, 13)
+    val a = TwoMeansTree.twoMeansTree(vecs, 10, 13)
+    val b = TwoMeansTree.twoMeansTree(vecs, 10, 13)
     assert(a sameElements b)
   }
 
   test("twoMeansTree beats random labels on distortion") {
     val (vecs, _) = mixture(300, 6, 10, 14)
-    val labels = LocalKMeans.twoMeansTree(vecs, 10, 15)
+    val labels = TwoMeansTree.twoMeansTree(vecs, 10, 15)
     val rng = new Random(16)
     val randomLabels = Array.fill(300)(rng.nextInt(10))
     val tree = repro.TestData.localDistortion(vecs, labels, 10)
@@ -96,8 +97,8 @@ class LocalKMeansSpec extends AnyFunSuite {
 
   test("twoMeansTree rejects impossible leaf counts") {
     val (vecs, _) = mixture(10, 3, 2, 17)
-    assertThrows[IllegalArgumentException](LocalKMeans.twoMeansTree(vecs, 11, 1))
-    assertThrows[IllegalArgumentException](LocalKMeans.twoMeansTree(vecs, 0, 1))
+    assertThrows[IllegalArgumentException](TwoMeansTree.twoMeansTree(vecs, 11, 1))
+    assertThrows[IllegalArgumentException](TwoMeansTree.twoMeansTree(vecs, 0, 1))
   }
 
   test("inClusterTopK matches a brute-force reference") {

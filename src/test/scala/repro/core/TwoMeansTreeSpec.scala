@@ -2,8 +2,8 @@ package repro.core
 
 import repro.{SparkSpec, TestData}
 
-/** Distributed two-means tree (Alg. 1): exact leaf counts, balance,
-  * determinism, quality, and the quota apportionment of the local finish.
+/** Two-means tree (Alg. 1) over a Dataset: exact leaf counts, balance,
+  * determinism, independence from partitioning, quality, input checks.
   */
 class TwoMeansTreeSpec extends SparkSpec {
 
@@ -21,16 +21,13 @@ class TwoMeansTreeSpec extends SparkSpec {
     }
   }
 
-  test("cluster sizes are near-equal (k=64, distributed phase only)") {
-    val labels = TwoMeansTree.cluster(points, n, 64, d, seed = 1)
-    val sizes = labels.groupBy(identity).map(_._2.length)
-    assert(sizes.max <= 3 * sizes.min, s"max=${sizes.max} min=${sizes.min}")
-  }
-
-  test("cluster sizes are near-equal (k=150, local finish engaged)") {
-    val labels = TwoMeansTree.cluster(points, n, 150, d, seed = 2)
-    val sizes = labels.groupBy(identity).map(_._2.length)
-    assert(sizes.max <= 4 * math.max(1, sizes.min), s"max=${sizes.max} min=${sizes.min}")
+  for ((k, seed) <- Seq((64, 1), (150, 2))) {
+    test(s"cluster sizes obey max <= 2 * min + 1 (k=$k)") {
+      // Pop-largest with equal halves: every leaf is at least half (rounded
+      // down) of a split cluster, and every split cluster is >= the final max.
+      val sizes = TwoMeansTree.cluster(points, n, k, d, seed).groupBy(identity).map(_._2.length)
+      assert(sizes.max <= 2 * sizes.min + 1, s"max=${sizes.max} min=${sizes.min}")
+    }
   }
 
   test("k = 1 assigns everything to cluster 0") {
@@ -61,25 +58,23 @@ class TwoMeansTreeSpec extends SparkSpec {
     assert(labels.distinct.length == 300)
   }
 
-  test("leafQuotas sums to k with each quota in [1, size]") {
-    val sizes = Array(100, 50, 10, 3)
-    val q = TwoMeansTree.leafQuotas(sizes, 30)
-    assert(q.sum == 30)
-    q.zip(sizes).foreach { case (qi, si) => assert(qi >= 1 && qi <= si) }
+  test("cluster is the pop-largest tree on the id-ordered vectors") {
+    assert(TwoMeansTree.cluster(points, n, 40, d, seed = 8) sameElements TwoMeansTree.twoMeansTree(vecs, 40, 8))
   }
 
-  test("leafQuotas is proportional for balanced sizes") {
-    val q = TwoMeansTree.leafQuotas(Array(100, 100, 100, 100), 40)
-    assert(q.toSeq == Seq(10, 10, 10, 10))
+  test("labels do not depend on how the points are partitioned") {
+    val re = points.repartition(4).cache()
+    try assert(TwoMeansTree.cluster(points, n, 50, d, seed = 9) sameElements TwoMeansTree.cluster(re, n, 50, d, seed = 9))
+    finally re.unpersist()
   }
 
-  test("leafQuotas handles k equal to the number of clusters") {
-    val q = TwoMeansTree.leafQuotas(Array(9, 5, 2), 3)
-    assert(q.toSeq == Seq(1, 1, 1))
-  }
-
-  test("leafQuotas caps quotas at the cluster size") {
-    val q = TwoMeansTree.leafQuotas(Array(2, 200), 100)
-    assert(q(0) <= 2 && q.sum == 100)
+  test("rejects a ragged vector and a non-finite value") {
+    val sp = spark
+    import sp.implicits._
+    val good = Seq.tabulate(20)(i => Point(i.toLong, Array(i.toFloat, 1f, -i.toFloat)))
+    Seq(good.updated(7, Point(7, Array(7f, 1f))), good.updated(7, Point(7, Array(7f, Float.NaN, 1f)))).foreach { pts =>
+      val e = intercept[IllegalArgumentException](TwoMeansTree.cluster(sp.createDataset(pts), 20, 4, 3, seed = 1))
+      assert(e.getMessage.contains("point 7"), e.getMessage)
+    }
   }
 }
