@@ -24,7 +24,7 @@ object QualityJob {
     claims(rows)
   }
 
-  /** Paper: BKM best quality; GK-means within a whisker; Mini-Batch clearly
+  /** Paper: BKM best quality; GK-means within 5% of it; Mini-Batch clearly
     * worse; closure k-means worse than GK-means; GK-means iterations cheaper
     * than full-scan ones (the *total*-time win of Fig. 5(b) needs the paper's
     * n and k; see EXPERIMENTS.md).
@@ -36,7 +36,7 @@ object QualityJob {
     val cl = rows.find(_.method == "closure k-means").get
     val ll = rows.find(_.method == "k-means").get
     Seq(
-      Claim("gk_e_near_bkm", gk.distortion <= bkm.distortion * 1.10, s"gk=${gk.distortion} bkm=${bkm.distortion}"),
+      Claim("gk_e_near_bkm", gk.distortion <= bkm.distortion * 1.05, s"gk=${gk.distortion} bkm=${bkm.distortion}"),
       Claim("minibatch_e_ge_bkm", mb.distortion >= bkm.distortion, s"mb=${mb.distortion} bkm=${bkm.distortion}"),
       Claim("closure_e_ge_gk", cl.distortion >= gk.distortion, s"cl=${cl.distortion} gk=${gk.distortion}"),
       Claim("gk_iter_le_kmeans", gk.iterSec <= ll.iterSec * 1.2, s"gk iter=${gk.iterSec}s lloyd iter=${ll.iterSec}s"),

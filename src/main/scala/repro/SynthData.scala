@@ -44,18 +44,6 @@ object SynthData {
     }.toDF("id", "vec", "gt")
   }
 
-  /** Structure-free uniform vectors in `[0, scale]^d` — worst case for
-    * neighbourhood-based methods; used in tests. Columns (id, vec, gt=0).
-    */
-  def uniformVectors(spark: SparkSession, n: Long, d: Int, seed: Long = 10, scale: Double = 1.0): DataFrame = {
-    import spark.implicits._
-    spark.range(n).map { id =>
-      val rng = new scala.util.Random(seed ^ (id * 0x9E3779B97F4A7C15L))
-      val v = Array.fill(d)((rng.nextDouble() * scale).toFloat)
-      (id, v, 0)
-    }.toDF("id", "vec", "gt")
-  }
-
   /** SIFT1M stand-in: 128-d local descriptors, value range ≈ [0, 255]. */
   def siftLite(spark: SparkSession, n: Long = 100000, nCenters: Int = 1000, seed: Long = 21): DataFrame =
     clusteredVectors(spark, n, d = 128, nCenters, noise = 0.28, seed, scale = 255.0)

@@ -80,7 +80,6 @@ object ClosureKMeans {
       seed: Long,
       m: Int = 3,
       bucketSize: Int = 50,
-      track: Boolean = true,
   ): FitResult = {
     val sc = points.sparkSession.sparkContext
     val t0 = System.nanoTime()
@@ -104,7 +103,7 @@ object ClosureKMeans {
       val initMs = (System.nanoTime() - t0) / 1000000
       Clustering.iterate(
         points, n, k, init.labels, init.state, iters,
-        new ClosureGen(bcM, bcB), Engine.NearestRule, track, initMs, init.distEvals)
+        new ClosureGen(bcM, bcB), Engine.NearestRule, initMs, init.distEvals)
     } finally { bcM.destroy(); bcB.destroy() }
   }
 }

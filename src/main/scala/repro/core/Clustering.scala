@@ -47,30 +47,30 @@ object Clustering {
   }
 
   /** Traditional k-means: random seeds, full-scan nearest assignment. */
-  def lloyd(points: Dataset[Point], n: Int, k: Int, d: Int, iters: Int, seed: Long, track: Boolean = true): FitResult =
-    fullScan(points, n, k, d, iters, seed, Engine.NearestRule, track)
+  def lloyd(points: Dataset[Point], n: Int, k: Int, d: Int, iters: Int, seed: Long): FitResult =
+    fullScan(points, n, k, d, iters, seed, Engine.NearestRule)
 
   /** Boost k-means [16]: random seeds + nearest init, then ΔI epochs. */
-  def boost(points: Dataset[Point], n: Int, k: Int, d: Int, iters: Int, seed: Long, track: Boolean = true): FitResult =
-    fullScan(points, n, k, d, iters, seed, Engine.BoostRule, track)
+  def boost(points: Dataset[Point], n: Int, k: Int, d: Int, iters: Int, seed: Long): FitResult =
+    fullScan(points, n, k, d, iters, seed, Engine.BoostRule)
 
   /** Random seeds and one nearest assignment pass against them, then `rule`
     * epochs over all k clusters.
     */
   private def fullScan(
-      points: Dataset[Point], n: Int, k: Int, d: Int, iters: Int, seed: Long,
-      rule: Engine.Rule, track: Boolean,
+      points: Dataset[Point], n: Int, k: Int, d: Int, iters: Int, seed: Long, rule: Engine.Rule,
   ): FitResult = {
     val t0 = System.nanoTime()
     val seedState = randomSeedState(points, n, k, d, seed)
     val init = Engine.epoch(points, new Array[Int](n), seedState, new AllClustersGen(k), Engine.NearestRule)
     val initMs = (System.nanoTime() - t0) / 1000000
-    iterate(points, n, k, init.labels, init.state, iters, new AllClustersGen(k), rule, track, initMs, init.distEvals)
+    iterate(points, n, k, init.labels, init.state, iters, new AllClustersGen(k), rule, initMs, init.distEvals)
   }
 
   /** GK-means (paper Alg. 2): 2M-tree initial clusters, then epochs where
     * each sample only visits the clusters its top-κ graph neighbours live in.
-    * `rule = NearestRule` gives the paper's GK-means⁻ ablation.
+    * `rule = NearestRule` gives the paper's GK-means⁻ ablation. `graph` has
+    * one row per point, of neighbour ids in `[0, n)`.
     */
   def gkMeans(
       points: Dataset[Point],
@@ -82,19 +82,24 @@ object Clustering {
       iters: Int,
       seed: Long,
       rule: Engine.Rule = Engine.BoostRule,
-      track: Boolean = true,
   ): FitResult = {
+    require(graph.length == n, s"graph has ${graph.length} rows, expected n=$n")
+    graph.indices.foreach { i =>
+      require(graph(i).forall(j => j >= 0 && j < n), s"graph row $i has a neighbour id outside [0, $n)")
+    }
     val sc = points.sparkSession.sparkContext
     val t0 = System.nanoTime()
     val labels0 = TwoMeansTree.cluster(points, n, k, d, seed)
     val state0 = ClusterState.fromLabels(points, labels0, k, d)
     val initMs = (System.nanoTime() - t0) / 1000000
     val bcG = sc.broadcast(graph)
-    try iterate(points, n, k, labels0, state0, iters, new GraphNbrGen(bcG, kappa), rule, track, initMs, 0L)
+    try iterate(points, n, k, labels0, state0, iters, new GraphNbrGen(bcG, kappa), rule, initMs, 0L)
     finally bcG.destroy()
   }
 
-  /** Shared epoch loop with optional distortion tracking. */
+  /** Shared epoch loop; records the distortion after the init and after
+    * every epoch.
+    */
   private[repro] def iterate(
       points: Dataset[Point],
       n: Int,
@@ -104,17 +109,16 @@ object Clustering {
       iters: Int,
       cand: CandidateGen,
       rule: Engine.Rule,
-      track: Boolean,
       initMs: Long,
       initEvals: Long,
   ): FitResult = {
-    val sumSq = if (track) Metrics.sumSqNorm(points) else 0.0
+    val sumSq = Metrics.sumSqNorm(points)
     var labels = labels0
     var state = state0
     var evals = initEvals
     var moves = 0L
     val dist = Vector.newBuilder[Double]
-    if (track) dist += state.distortion(sumSq, n)
+    dist += state.distortion(sumSq, n)
     val t0 = System.nanoTime()
     var t = 0
     var converged = false
@@ -124,7 +128,7 @@ object Clustering {
       state = r.state
       evals += r.distEvals
       moves += r.moved
-      if (track) dist += state.distortion(sumSq, n)
+      dist += state.distortion(sumSq, n)
       converged = r.moved == 0
       t += 1
     }

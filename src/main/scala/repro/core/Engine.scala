@@ -74,9 +74,11 @@ object Engine {
   }
 
   /** Run one epoch; returns the new labels and (by default) their state,
-    * equal to `ClusterState.fromLabels(points, newLabels, k, d, Some(state))`.
-    * An epoch with no moves, or with `recomputeState = false` (for callers
-    * that recompute state themselves), returns `state` itself.
+    * equal to `ClusterState.fromLabels(points, newLabels, k, d, Some(state))`
+    * even when no point moved, so an input `state` that does not describe
+    * `labels` (a seed state from `ClusterState.fromCentroids`) never comes
+    * back. With `recomputeState = false` (for callers that recompute state
+    * themselves) it returns `state` itself.
     */
   def epoch(
       points: Dataset[Point],
@@ -175,8 +177,7 @@ object Engine {
       moved += ch.ids.length
     }
     val newState =
-      if (recomputeState && moved > 0)
-        ClusterState.fromSums(chunks.flatMap(_.sums), state.k, state.d, Some(state))
+      if (recomputeState) ClusterState.fromSums(chunks.flatMap(_.sums), state.k, state.d, Some(state))
       else state
     EpochResult(newLabels, newState, moved, evals)
   }

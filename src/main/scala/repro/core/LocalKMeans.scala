@@ -2,8 +2,9 @@ package repro.core
 
 /** In-memory (single-task) kernel of the Alg. 3 graph builder.
   *
-  * `GraphBuilder.build` runs it inside one `flatMapGroups` task per GK-means
-  * cluster; each group holds ~ξ points, so the exhaustive join is local.
+  * `GraphBuilder.build` runs it once per GK-means cluster, inside the tasks
+  * of one Spark job, on the cluster's members in id order; each cluster holds
+  * ~ξ points, so the exhaustive join is local.
   */
 object LocalKMeans {
 

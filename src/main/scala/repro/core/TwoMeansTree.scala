@@ -8,12 +8,14 @@ import scala.util.Random
   * 2-means it, and cut it at the margin median, until k clusters exist —
   * `O(d·n·log k)`.
   *
-  * The tree runs once, on the driver, over the vectors collected in id order.
-  * That collect adds no new scale limit: the driver already holds the n×κ
-  * k-NN graph (12·κ = 240 B per point at κ = 20), and the vectors take 4·d
-  * bytes per point (256 B at d = 64), the same order. Because the input is
-  * ordered by id, the labels depend only on the data and the seed, not on
-  * how the points are partitioned.
+  * The tree runs on the driver, over the vectors in id order: `twoMeansTree`
+  * takes them as collected by `Points.collectVecs`, and `cluster` collects
+  * them itself. `GraphBuilder.build` collects once and runs every round's
+  * tree from that copy. The collect adds no new scale limit: the driver
+  * already holds the n×κ k-NN graph (12·κ = 240 B per point at κ = 20), and
+  * the vectors take 4·d bytes per point (256 B at d = 64), the same order.
+  * Because the input is ordered by id, the labels depend only on the data
+  * and the seed, not on how the points are partitioned.
   */
 object TwoMeansTree {
 
@@ -72,7 +74,7 @@ object TwoMeansTree {
     * the equal-size adjustment until `leaves` clusters exist. Returns a label
     * in `[0, leaves)` per input position.
     */
-  private[core] def twoMeansTree(vecs: Array[Array[Float]], leaves: Int, seed: Long): Array[Int] = {
+  def twoMeansTree(vecs: Array[Array[Float]], leaves: Int, seed: Long): Array[Int] = {
     require(leaves >= 1 && leaves <= vecs.length, s"need 1 <= leaves=$leaves <= n=${vecs.length}")
     val rng = new Random(seed)
     val labels = new Array[Int](vecs.length)

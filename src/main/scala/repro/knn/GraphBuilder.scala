@@ -20,15 +20,17 @@ final case class BuildResult(graph: KnnGraph, buildMs: Long, roundRecalls: Vecto
 
 /** k-NN graph construction with fast k-means (paper Alg. 3).
   *
+  * The vectors are collected in id order once per build and broadcast once.
   * Starting from a random graph G⁰, each of the τ rounds (the intertwined
   * evolving process of Fig. 3):
   *
-  *   1. runs GK-means (2M-tree init + one boost epoch, `t = 1` per the
-  *      paper's §4.5) into `k₀ = ⌊n/ξ⌋` clusters using the current graph, and
-  *   2. exhaustively compares points inside each cluster
-  *      (`LocalKMeans.inClusterTopK` inside `flatMapGroups` — clusters have
-  *      ~ξ members so each group is a tiny local task), merging the closer
-  *      pairs into the graph.
+  *   1. runs GK-means with `t = 1` (paper §4.5) into `k₀ = ⌊n/ξ⌋` clusters
+  *      using the current graph: the two-means tree on the collected
+  *      vectors, then one boost epoch over the graph neighbours' clusters;
+  *   2. exhaustively compares points inside each cluster: the driver lists
+  *      each cluster's members in id order, and one Spark job runs
+  *      `LocalKMeans.inClusterTopK` per cluster (~ξ members, a tiny local
+  *      task) on the broadcast vectors; the closer pairs merge into the graph.
   *
   * Graph quality and clustering quality co-evolve; larger τ → higher recall
   * at proportional cost (paper Fig. 2).
@@ -46,38 +48,40 @@ object GraphBuilder {
       probe: Option[Probe] = None,
   ): BuildResult = {
     require(xi >= 2, s"xi=$xi too small")
-    val sp = points.sparkSession
-    import sp.implicits._
+    val sc = points.sparkSession.sparkContext
     val k0 = math.max(2, n / xi)
     val kap = math.min(kappa, n - 1) // the join closure reads this, not `graph.kappa`, so its tasks do not carry the graph
     val graph = KnnGraph.random(n, kap, seed)
     val recalls = Vector.newBuilder[Double]
     val t0 = System.nanoTime()
-    var t = 0
-    while (t < tau) {
-      val fit = Clustering.gkMeans(
-        points, n, k0, d, graph.ids, kap, iters = 1,
-        seed = seed ^ (1000003L * (t + 1)), rule = Engine.BoostRule, track = false)
-      val bcL = sp.sparkContext.broadcast(fit.labels)
-      val chunks =
-        try {
-          points
-            .groupByKey(p => bcL.value(p.id.toInt))
-            .flatMapGroups { (_, it) =>
-              val members = it.toArray.sortBy(_.id)
-              LocalKMeans.inClusterTopK(members.map(_.id), members.map(_.vec), kap).iterator
-            }
-            .collect()
-        } finally bcL.destroy()
-      chunks.foreach { ch =>
-        var j = 0
-        while (j < ch.nbrs.length) { graph.merge(ch.id.toInt, ch.nbrs(j), ch.dists(j)); j += 1 }
+    val vecs = Points.collectVecs(points, n, d)
+    val bcV = sc.broadcast(vecs)
+    try {
+      var t = 0
+      while (t < tau) {
+        val labels0 = TwoMeansTree.twoMeansTree(vecs, k0, seed ^ (1000003L * (t + 1)))
+        val state0 = ClusterState.fromLabels(points, labels0, k0, d)
+        val bcG = sc.broadcast(graph.ids)
+        val labels =
+          try Engine.epoch(points, labels0, state0, new GraphNbrGen(bcG, kap), Engine.BoostRule).labels
+          finally bcG.destroy()
+        val members = Array.fill(k0)(Array.newBuilder[Int])
+        var i = 0
+        while (i < n) { members(labels(i)) += i; i += 1 }
+        val chunks = sc
+          .parallelize(members.map(_.result()).toSeq, sc.defaultParallelism)
+          .flatMap(m => LocalKMeans.inClusterTopK(m.map(_.toLong), m.map(bcV.value(_)), kap))
+          .collect()
+        chunks.foreach { ch =>
+          var j = 0
+          while (j < ch.nbrs.length) { graph.merge(ch.id.toInt, ch.nbrs(j), ch.dists(j)); j += 1 }
+        }
+        probe.foreach { pr =>
+          recalls += Metrics.recallTop1(graph.ids, graph.dists, pr.probeIds, pr.trueIds, pr.trueDists)
+        }
+        t += 1
       }
-      probe.foreach { pr =>
-        recalls += Metrics.recallTop1(graph.ids, graph.dists, pr.probeIds, pr.trueIds, pr.trueDists)
-      }
-      t += 1
-    }
+    } finally bcV.destroy()
     BuildResult(graph, (System.nanoTime() - t0) / 1000000, recalls.result())
   }
 }

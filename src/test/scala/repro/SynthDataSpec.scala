@@ -71,18 +71,6 @@ class SynthDataSpec extends SparkSpec {
     assert(within / wn < 0.5 * (cross / cn), "mixture must be clearly clustered")
   }
 
-  test("uniformVectors has the requested shape and no gt structure") {
-    val df = SynthData.uniformVectors(spark, 80, 5, seed = 3)
-    assert(df.count() == 80)
-    assert(df.selectExpr("size(vec) as s").agg(max("s")).head().getInt(0) == 5)
-    assert(df.select("gt").distinct().count() == 1)
-  }
-
-  test("uniformVectors values stay in [0, scale]") {
-    val vs = Points.collectVecs(Points.fromDF(SynthData.uniformVectors(spark, 60, 4, seed = 3, scale = 2.0)), 60, 4)
-    assert(vs.flatten.forall(v => v >= 0.0f && v <= 2.0f))
-  }
-
   test("siftLite is 128-dimensional with a [0,255]-like range") {
     val df = SynthData.siftLite(spark, n = 500, nCenters = 10)
     assert(df.selectExpr("size(vec) as s").agg(max("s")).head().getInt(0) == 128)

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestData}
+import repro.baselines.MiniBatchKMeans
 import repro.eval.Metrics
 import repro.knn.KnnGraph
 
@@ -119,6 +120,28 @@ class ClusteringSpec extends SparkSpec {
       val rebuilt = ClusterState.fromLabels(points, fit.labels, 15, d, Some(fit.state))
       assert(fit.state.cnt sameElements rebuilt.cnt)
       (0 until 15).foreach(r => assert(fit.state.comp(r) sameElements rebuilt.comp(r)))
+    }
+  }
+
+  test("k = 1 fits report the distortion of the mean") {
+    val want = TestData.localDistortion(TestData.tinyVecs, new Array[Int](600), 1)
+    Seq(
+      Clustering.lloyd(TestData.tiny, 600, 1, 8, iters = 2, seed = 17),
+      Clustering.boost(TestData.tiny, 600, 1, 8, iters = 2, seed = 17),
+      MiniBatchKMeans.fit(TestData.tiny, 600, 1, 8, batches = 2, batchSize = 50, seed = 17),
+    ).foreach { fit =>
+      assert(fit.state.cnt sameElements Array(600L))
+      assert(math.abs(fit.finalDistortion - want) <= 1e-9 * want, s"E=${fit.finalDistortion} want=$want")
+    }
+  }
+
+  test("gkMeans rejects a short graph and a neighbour id outside [0, n)") {
+    val g = Array.tabulate(n)(i => Array((i + 1) % n, (i + 2) % n))
+    val short = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, g.init, 2, 1, 18))
+    assert(short.getMessage.contains(s"${n - 1} rows"), short.getMessage)
+    Seq(-1, n).foreach { bad =>
+      val e = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, g.updated(17, Array(0, bad)), 2, 1, 18))
+      assert(e.getMessage.contains("row 17"), e.getMessage)
     }
   }
 

@@ -118,7 +118,8 @@ class EngineSpec extends SparkSpec {
     }
     val r = Engine.epoch(points, labels, st, new AllClustersGen(k), Engine.NearestRule)
     assert(r.moved == 0)
-    assert(r.state eq st)
+    assert(r.state.cnt sameElements st.cnt)
+    (0 until k).foreach(c => assert(r.state.comp(c) sameElements st.comp(c)))
   }
 
   test("distEvals for a full scan is at most n*k and positive") {

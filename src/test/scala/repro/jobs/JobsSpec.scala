@@ -62,7 +62,8 @@ class JobsSpec extends AnyFunSuite {
     row("GK-means", iter = 1.3, e = 614209), row("KGraph+GK-means", iter = 1.2, e = 614244),
   )
   claimTests("QualityJob", quality, QualityJob.claims)(
-    "gk_e_near_bkm" -> (set(_, "GK-means")(_.copy(distortion = 595846 * 1.11))),
+    // 5% is the margin: 1.07 fails it, and would have passed the old 10%
+    "gk_e_near_bkm" -> (set(_, "GK-means")(_.copy(distortion = 595846 * 1.07))),
     "minibatch_e_ge_bkm" -> (set(_, "Mini-Batch")(_.copy(distortion = 595000))),
     "closure_e_ge_gk" -> (set(_, "closure k-means")(_.copy(distortion = 600000))),
     "gk_iter_le_kmeans" -> (set(_, "GK-means")(_.copy(iterSec = 4.6 * 1.21))),

@@ -1,6 +1,8 @@
 package repro.knn
 
+import org.apache.spark.sql.Dataset
 import repro.{SparkSpec, TestData}
+import repro.core.{Clustering, LocalKMeans, Point}
 import repro.eval.Metrics
 
 /** Alg. 3 graph construction: the intertwined evolution must raise recall
@@ -64,6 +66,37 @@ class GraphBuilderSpec extends SparkSpec {
     val rand = KnnGraph.random(600, 8, 9)
     val randRecall = Metrics.recallTop1(rand.ids, rand.dists, tinyProbe.probeIds, tinyProbe.trueIds, tinyProbe.trueDists)
     assert(res.roundRecalls.last > randRecall + 0.3)
+  }
+
+  /** The Alg. 3 rounds written out from public calls: per round, a one-epoch
+    * GK-means fit at the round's seed, then `inClusterTopK` over each
+    * cluster's members in id order, merged into the random start graph.
+    */
+  private def referenceBuild(ds: Dataset[Point], kappa: Int, xi: Int, tau: Int, seed: Long): KnnGraph = {
+    val vecs = TestData.smallVecs
+    val graph = KnnGraph.random(n, kappa, seed)
+    (0 until tau).foreach { t =>
+      val labels = Clustering.gkMeans(ds, n, n / xi, d, graph.ids, kappa, iters = 1, seed ^ (1000003L * (t + 1))).labels
+      (0 until n).groupBy(labels(_)).values.foreach { m =>
+        val ids = m.sorted.toArray
+        LocalKMeans.inClusterTopK(ids.map(_.toLong), ids.map(vecs(_)), kappa).foreach { ch =>
+          ch.nbrs.indices.foreach(j => graph.merge(ch.id.toInt, ch.nbrs(j), ch.dists(j)))
+        }
+      }
+    }
+    graph
+  }
+
+  test("the build equals the Alg. 3 rounds written out, bit for bit, on 1 and 4 partitions") {
+    val re = points.repartition(4).cache()
+    try Seq(points, re).foreach { ds =>
+      val got = GraphBuilder.build(ds, n, d, kappa = 8, xi = 30, tau = 3, seed = 11).graph
+      val want = referenceBuild(ds, kappa = 8, xi = 30, tau = 3, seed = 11)
+      (0 until n).foreach { i =>
+        assert(got.ids(i) sameElements want.ids(i), s"row $i")
+        assert(got.dists(i) sameElements want.dists(i), s"row $i")
+      }
+    } finally re.unpersist()
   }
 
   test("rejects degenerate xi") {
