@@ -33,8 +33,6 @@ object ClosureKMeans {
       bucketSize: Int,
       seed: Long,
   ): (Array[Array[Int]], Array[Array[Array[Int]]]) = {
-    val sp = points.sparkSession
-    import sp.implicits._
     val rng = new Random(seed)
     // m random unit vectors.
     val dirs = Array.fill(m) {
@@ -42,10 +40,10 @@ object ClosureKMeans {
       val norm = math.sqrt(VecOps.normSqD(v))
       v.map(_ / norm)
     }
-    val bcDirs = sp.sparkContext.broadcast(dirs)
+    val bcDirs = points.sparkSession.sparkContext.broadcast(dirs)
     val projs =
       try {
-        points.map { p =>
+        points.rdd.map { p =>
           val ds = bcDirs.value.map(dir => VecOps.dotFD(p.vec, dir))
           (p.id, ds)
         }.collect()

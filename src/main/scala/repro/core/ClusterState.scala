@@ -63,12 +63,10 @@ object ClusterState {
       d: Int,
       prev: Option[ClusterState] = None,
   ): ClusterState = {
-    val sp = points.sparkSession
-    import sp.implicits._
-    val bcL = sp.sparkContext.broadcast(labels)
+    val bcL = points.sparkSession.sparkContext.broadcast(labels)
     val chunks =
       try {
-        points
+        points.rdd
           .mapPartitions { it =>
             val lab = bcL.value
             val acc = new PartialSums(d)

@@ -3,8 +3,8 @@ package repro.core
 import org.apache.spark.sql.Dataset
 
 /** One clustering epoch: a single `mapPartitions` pass over the cached
-  * points that evaluates a move rule against candidate clusters and, in the
-  * same pass, re-sums the composites under the epoch's final labels.
+  * points' `rdd` that evaluates a move rule against candidate clusters and,
+  * in the same pass, re-sums the composites under the epoch's final labels.
   *
   * Two rules:
   *
@@ -77,8 +77,8 @@ object Engine {
     * equal to `ClusterState.fromLabels(points, newLabels, k, d, Some(state))`
     * even when no point moved, so an input `state` that does not describe
     * `labels` (a seed state from `ClusterState.fromCentroids`) never comes
-    * back. With `recomputeState = false` (for callers that recompute state
-    * themselves) it returns `state` itself.
+    * back. With `recomputeState = false` (for callers that read only the
+    * labels, or recompute state themselves) it returns `state` itself.
     */
   def epoch(
       points: Dataset[Point],
@@ -88,13 +88,12 @@ object Engine {
       rule: Rule,
       recomputeState: Boolean = true,
   ): EpochResult = {
-    val sp = points.sparkSession
-    import sp.implicits._
-    val bcL = sp.sparkContext.broadcast(labels)
-    val bcS = sp.sparkContext.broadcast(state)
+    val sc = points.sparkSession.sparkContext
+    val bcL = sc.broadcast(labels)
+    val bcS = sc.broadcast(state)
     val chunks =
       try {
-        points
+        points.rdd
           .mapPartitions { it =>
             val lab = bcL.value
             val st = bcS.value

@@ -15,9 +15,7 @@ object Metrics {
 
   /** Σ‖x‖² over the dataset — one pass, reused for the distortion identity. */
   def sumSqNorm(points: Dataset[Point]): Double = {
-    val sp = points.sparkSession
-    import sp.implicits._
-    points.mapPartitions { it =>
+    points.rdd.mapPartitions { it =>
       var s = 0.0
       it.foreach(p => s += VecOps.normSqF(p.vec))
       Iterator.single(s)
@@ -29,13 +27,12 @@ object Metrics {
     * tested — so callers use the cheap form in iteration loops.
     */
   def distortionDirect(points: Dataset[Point], labels: Array[Int], state: ClusterState): Double = {
-    val sp = points.sparkSession
-    import sp.implicits._
-    val bcL = sp.sparkContext.broadcast(labels)
-    val bcS = sp.sparkContext.broadcast(state)
+    val sc = points.sparkSession.sparkContext
+    val bcL = sc.broadcast(labels)
+    val bcS = sc.broadcast(state)
     val (sum, n) =
       try {
-        points.mapPartitions { it =>
+        points.rdd.mapPartitions { it =>
           val lab = bcL.value; val st = bcS.value
           var s = 0.0; var c = 0L
           it.foreach { p =>
@@ -53,15 +50,14 @@ object Metrics {
     * paper likewise estimates VLAD10M recall from 100 random probes).
     */
   def bruteTop1(points: Dataset[Point], probeIds: Array[Long]): (Array[Long], Array[Double]) = {
-    val sp = points.sparkSession
-    import sp.implicits._
+    val sc = points.sparkSession.sparkContext
     val probeVecs = Points.fetchVecs(points, probeIds.toSeq)
     val probes = probeIds.map(probeVecs)
-    val bcIds = sp.sparkContext.broadcast(probeIds)
-    val bcVecs = sp.sparkContext.broadcast(probes)
+    val bcIds = sc.broadcast(probeIds)
+    val bcVecs = sc.broadcast(probes)
     val chunks =
       try {
-        points.mapPartitions { it =>
+        points.rdd.mapPartitions { it =>
           val ids = bcIds.value; val vs = bcVecs.value
           val bi = Array.fill(ids.length)(-1L)
           val bd = Array.fill(ids.length)(Double.MaxValue)

@@ -63,7 +63,7 @@ object GraphBuilder {
         val state0 = ClusterState.fromLabels(points, labels0, k0, d)
         val bcG = sc.broadcast(graph.ids)
         val labels =
-          try Engine.epoch(points, labels0, state0, new GraphNbrGen(bcG, kap), Engine.BoostRule).labels
+          try Engine.epoch(points, labels0, state0, new GraphNbrGen(bcG, kap), Engine.BoostRule, recomputeState = false).labels
           finally bcG.destroy()
         val members = Array.fill(k0)(Array.newBuilder[Int])
         var i = 0

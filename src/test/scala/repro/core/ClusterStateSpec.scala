@@ -150,4 +150,35 @@ class ClusterStateSpec extends SparkSpec {
       "assign" -> assigned,
     )
   }
+
+  test("passes on points.rdd see the Dataset's rows and sums, bit for bit") {
+    val sp = spark
+    import sp.implicits._
+    val (n, d, k) = (3000, 16, 40)
+    val labels = TestData.randomLabels(n, k, 12)
+    val re = TestData.small.repartition(4).cache()
+    try Seq(TestData.small, re).foreach { pts =>
+      val rddIds = pts.rdd.mapPartitions(it => Iterator.single(it.map(_.id).toArray)).collect()
+      val dsIds = pts.mapPartitions(it => Iterator.single(it.map(_.id).toArray)).collect()
+      assert(rddIds.map(_.toSeq).toSeq == dsIds.map(_.toSeq).toSeq)
+
+      // fromLabels and sumSqNorm as typed Dataset queries.
+      val chunks = pts.mapPartitions { it =>
+        val acc = new PartialSums(d)
+        it.foreach(p => acc.add(labels(p.id.toInt), p.vec))
+        acc.chunks.iterator
+      }.collect()
+      val want = ClusterState.fromSums(chunks, k, d, None)
+      val got = ClusterState.fromLabels(pts, labels, k, d)
+      assert(got.cnt.toSeq == want.cnt.toSeq)
+      (0 until k).foreach(r => assert(java.util.Arrays.equals(got.comp(r), want.comp(r)), s"cluster $r"))
+      val sumSq = pts.mapPartitions { it =>
+        var s = 0.0
+        it.foreach(p => s += VecOps.normSqF(p.vec))
+        Iterator.single(s)
+      }.collect().sum
+      assert(Metrics.sumSqNorm(pts) == sumSq)
+    }
+    finally re.unpersist()
+  }
 }
