@@ -6,15 +6,17 @@ import org.apache.spark.sql.SparkSession
 final case class Claim(name: String, ok: Boolean, detail: String)
 
 /** Shared SparkSession factory and claim report for the `jobs/` entrypoints.
-  * Honors the same environment knobs as the test harness so spark-submit runs
-  * and `sbt test` exercise identical configurations.
+  * The test harness (`SparkSpec`) builds its session here too, so jobs and
+  * tests run one configuration. The master comes from `SPARK_MASTER`
+  * (default `local[*]`), a deployment setting; `spark.sql.shuffle.partitions`
+  * is fixed at 64.
   */
 object JobSession {
   def create(app: String): SparkSession =
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.shuffle.partitions", 64)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", "false")
       .getOrCreate()

@@ -33,6 +33,7 @@ object ClosureKMeans {
       bucketSize: Int,
       seed: Long,
   ): (Array[Array[Int]], Array[Array[Array[Int]]]) = {
+    require(m >= 1 && bucketSize >= 1, s"need m=$m >= 1 and bucketSize=$bucketSize >= 1")
     val rng = new Random(seed)
     // m random unit vectors.
     val dirs = Array.fill(m) {

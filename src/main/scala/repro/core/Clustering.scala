@@ -31,7 +31,7 @@ object Clustering {
 
   /** k distinct random sample ids (driver-side; ids are dense in [0,n)). */
   def sampleIds(n: Int, k: Int, seed: Long): Array[Long] = {
-    require(k <= n, s"k=$k > n=$n")
+    require(k >= 1 && k <= n, s"need 1 <= k=$k <= n=$n")
     val rng = new Random(seed)
     val picked = new java.util.LinkedHashSet[Long]()
     while (picked.size < k) picked.add(rng.nextInt(n).toLong)
@@ -83,6 +83,7 @@ object Clustering {
       seed: Long,
       rule: Engine.Rule = Engine.BoostRule,
   ): FitResult = {
+    require(kappa >= 1, s"need kappa=$kappa >= 1")
     require(graph.length == n, s"graph has ${graph.length} rows, expected n=$n")
     graph.indices.foreach { i =>
       require(graph(i).forall(j => j >= 0 && j < n), s"graph row $i has a neighbour id outside [0, $n)")

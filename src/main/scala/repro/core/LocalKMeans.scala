@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.knn.KnnGraph
+
 /** In-memory (single-task) kernel of the Alg. 3 graph builder.
   *
   * `GraphBuilder.build` runs it once per GK-means cluster, inside the tasks
@@ -9,36 +11,18 @@ package repro.core
 object LocalKMeans {
 
   /** Exhaustive in-cluster k-NN lists (paper Alg. 3 lines 8-14, one cluster):
-    * for every member, the `κ` closest other members with distances.
-    * `ids` are global point ids aligned with `vecs`.
+    * for every member, the `κ` closest other members with distances, in
+    * (distance, id) order. `ids` are global point ids aligned with `vecs`, in
+    * ascending order, so that `KnnGraph.bruteForce`'s tie order on local
+    * indices is the tie order on global ids.
     */
   def inClusterTopK(
       ids: Array[Long],
       vecs: Array[Array[Float]],
       kappa: Int,
   ): Array[NbrChunk] = {
-    val m = ids.length
-    if (m <= 1) return Array.empty
-    val keep = math.min(kappa, m - 1)
-    // Pairwise distances once; rows pick their top-`keep`.
-    val dist = Array.ofDim[Double](m, m)
-    var i = 0
-    while (i < m) {
-      var j = i + 1
-      while (j < m) {
-        val dd = VecOps.sqDistFF(vecs(i), vecs(j))
-        dist(i)(j) = dd; dist(j)(i) = dd
-        j += 1
-      }
-      i += 1
-    }
-    val out = new Array[NbrChunk](m)
-    i = 0
-    while (i < m) {
-      val order = Array.range(0, m).filter(_ != i).sortBy(j => (dist(i)(j), ids(j))).take(keep)
-      out(i) = NbrChunk(ids(i), order.map(j => ids(j).toInt), order.map(j => dist(i)(j)))
-      i += 1
-    }
-    out
+    if (ids.length <= 1) return Array.empty
+    val g = KnnGraph.bruteForce(vecs, kappa)
+    Array.tabulate(ids.length)(i => NbrChunk(ids(i), g.ids(i).map(j => ids(j).toInt), g.dists(i)))
   }
 }

@@ -17,36 +17,30 @@ final class KnnGraph(
   def n: Int = ids.length
   def kappa: Int = if (n == 0) 0 else ids(0).length
 
-  /** Insert candidate (j, dist) into row i if closer than the current worst
-    * and not already present; keeps the row sorted. Returns true if inserted.
+  /** Insert candidate (j, dist) into row i; returns true if inserted. This
+    * is the repo's one top-κ rule (Alg. 3 lines 8-14 and its line-11 merge,
+    * NN-Descent's rows, `bruteForce`). The candidate goes after every entry at
+    * a distance ≤ its own, so one that only ties the worst entry is rejected
+    * and an id already listed at a distance ≤ `dist` stays as it is. An id
+    * listed further down moves up from its old slot; otherwise the worst
+    * entry drops out. Candidates merged in ascending id order therefore leave
+    * a row in (distance, id) order.
     */
   def merge(i: Int, j: Int, dist: Double): Boolean = {
     if (i == j) return false
     val row = ids(i); val dd = dists(i)
-    val len = row.length
-    if (dist >= dd(len - 1)) return false
+    val last = row.length - 1
+    if (dist >= dd(last)) return false
     var p = 0
-    while (p < len && dd(p) <= dist) {
+    while (dd(p) <= dist) { // stops at `last` at the latest, since dd(last) > dist
       if (row(p) == j) return false
       p += 1
     }
-    // Check duplicates beyond the insertion point too.
-    var q = p
-    while (q < len) { if (row(q) == j) { shiftOut(i, q, p, j, dist); return true }; q += 1 }
-    var m = len - 1
+    var m = p
+    while (m < last && row(m) != j) m += 1
     while (m > p) { row(m) = row(m - 1); dd(m) = dd(m - 1); m -= 1 }
     row(p) = j; dd(p) = dist
     true
-  }
-
-  /** Re-insert an id already present at `at` into earlier position `p`
-    * (distance improved — can happen when approximate rounds re-measure).
-    */
-  private def shiftOut(i: Int, at: Int, p: Int, j: Int, dist: Double): Unit = {
-    val row = ids(i); val dd = dists(i)
-    var m = at
-    while (m > p) { row(m) = row(m - 1); dd(m) = dd(m - 1); m -= 1 }
-    row(p) = j; dd(p) = dist
   }
 }
 
@@ -76,23 +70,28 @@ object KnnGraph {
     new KnnGraph(ids, dists)
   }
 
-  /** Exact graph by brute force over in-memory vectors — test-scale only. */
+  /** Exact graph over in-memory vectors: min(κ, n − 1) entries per row, in
+    * (distance, id) order; with n ≤ 1 the rows are empty. Every pair a < b is
+    * measured once, as `sqDistFF(vecs(a), vecs(b))`, and merged into both
+    * rows of a placeholder graph (ids −1, distances `Double.MaxValue`); each
+    * row receives its candidates in ascending id order, which `merge` needs
+    * for that order.
+    */
   def bruteForce(vecs: Array[Array[Float]], kappa: Int): KnnGraph = {
+    require(kappa >= 1, s"need kappa=$kappa >= 1")
     val n = vecs.length
     val keep = math.min(kappa, n - 1)
-    val ids = new Array[Array[Int]](n)
-    val dists = new Array[Array[Double]](n)
-    var i = 0
-    while (i < n) {
-      val order = Array.range(0, n)
-        .filter(_ != i)
-        .map(j => (VecOps.sqDistFF(vecs(i), vecs(j)), j))
-        .sortBy(x => (x._1, x._2))
-        .take(keep)
-      ids(i) = order.map(_._2)
-      dists(i) = order.map(_._1)
-      i += 1
+    val g = new KnnGraph(Array.fill(n, keep)(-1), Array.fill(n, keep)(Double.MaxValue))
+    var a = 0
+    while (a < n) {
+      var b = a + 1
+      while (b < n) {
+        val dd = VecOps.sqDistFF(vecs(a), vecs(b))
+        g.merge(a, b, dd); g.merge(b, a, dd)
+        b += 1
+      }
+      a += 1
     }
-    new KnnGraph(ids, dists)
+    g
   }
 }

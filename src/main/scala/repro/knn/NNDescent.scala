@@ -42,14 +42,12 @@ object NNDescent {
     val bcV = sp.sparkContext.broadcast(vecs)
     val recalls = Vector.newBuilder[Double]
     try {
-      // Random graph with measured distances.
+      // Random graph with measured distances: each row's ids, in ascending
+      // order, merge into the row, whose MaxValue entries are the placeholders.
       val graph = KnnGraph.random(n, kap, seed)
       var i = 0
       while (i < n) {
-        val row = graph.ids(i)
-        val withD = row.map(j => (VecOps.sqDistFF(vecs(i), vecs(j)), j)).sortBy(x => (x._1, x._2))
-        var j = 0
-        while (j < kap) { graph.ids(i)(j) = withD(j)._2; graph.dists(i)(j) = withD(j)._1; j += 1 }
+        graph.ids(i).sorted.foreach(j => graph.merge(i, j, VecOps.sqDistFF(vecs(i), vecs(j))))
         i += 1
       }
       val fresh = Array.fill(n, kap)(true)

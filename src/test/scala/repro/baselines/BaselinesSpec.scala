@@ -52,6 +52,13 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
+  test("closure buckets reject m = 0 and bucketSize = 0, naming them") {
+    val m0 = intercept[IllegalArgumentException](ClosureKMeans.buildBuckets(points, n, d, m = 0, bucketSize = 40, seed = 5))
+    assert(m0.getMessage.contains("m=0"), m0.getMessage)
+    val b0 = intercept[IllegalArgumentException](ClosureKMeans.buildBuckets(points, n, d, m = 3, bucketSize = 0, seed = 5))
+    assert(b0.getMessage.contains("bucketSize=0"), b0.getMessage)
+  }
+
   test("closure memberOf is consistent with bucket membership") {
     val (memberOf, buckets) = ClosureKMeans.buildBuckets(points, n, d, m = 2, bucketSize = 50, seed = 6)
     (0 until 2).foreach { pr =>

@@ -27,6 +27,19 @@ class ClusteringSpec extends SparkSpec {
     assert(ids.sorted sameElements Array.tabulate(20)(_.toLong))
   }
 
+  test("sampleIds rejects k = 0, naming k and n") {
+    val e = intercept[IllegalArgumentException](Clustering.sampleIds(20, 0, 1))
+    assert(e.getMessage.contains("k=0") && e.getMessage.contains("n=20"), e.getMessage)
+  }
+
+  test("gkMeans rejects kappa below 1, naming kappa") {
+    val g = KnnGraph.random(n, 4, 1).ids
+    Seq(-1, 0).foreach { kappa =>
+      val e = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, g, kappa, iters = 2, seed = 1))
+      assert(e.getMessage.contains(s"kappa=$kappa"), e.getMessage)
+    }
+  }
+
   test("randomSeedState holds k fallback centroids from the data") {
     val st = Clustering.randomSeedState(points, n, 12, d, 3)
     assert(st.k == 12 && st.cnt.forall(_ == 0))

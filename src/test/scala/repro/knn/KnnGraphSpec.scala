@@ -96,14 +96,27 @@ class KnnGraphSpec extends AnyFunSuite {
     assert(g.dists(0).toSeq == Seq(1.0, 2.0))
   }
 
+  test("merge places a tie after the entries at that distance and rejects a tie with the worst") {
+    val g = new KnnGraph(Array(Array(-1, -1)), Array(Array(Double.MaxValue, Double.MaxValue)))
+    assert(g.merge(0, 5, 1.0))
+    assert(g.merge(0, 3, 1.0))
+    assert(g.ids(0).toSeq == Seq(5, 3))
+    assert(!g.merge(0, 1, 1.0))
+    assert(g.ids(0).toSeq == Seq(5, 3))
+  }
+
   test("bruteForce graph matches an independent reference") {
-    val vecs = randVecs(25, 4, 5)
-    val g = KnnGraph.bruteForce(vecs, 3)
-    (0 until 25).foreach { i =>
-      val expect = (0 until 25).filter(_ != i)
-        .map(j => (VecOps.sqDistFF(vecs(i), vecs(j)), j))
-        .sortBy(x => (x._1, x._2)).take(3)
-      assert(g.ids(i).toSeq == expect.map(_._2))
+    // the second input lies on a 3-value grid, so exact distance ties are common
+    val rng = new Random(7)
+    Seq(randVecs(25, 4, 5), Array.fill(25, 3)(rng.nextInt(3).toFloat)).foreach { vecs =>
+      val g = KnnGraph.bruteForce(vecs, 3)
+      (0 until 25).foreach { i =>
+        val expect = (0 until 25).filter(_ != i)
+          .map(j => (VecOps.sqDistFF(vecs(i), vecs(j)), j))
+          .sortBy(x => (x._1, x._2)).take(3)
+        assert(g.ids(i).toSeq == expect.map(_._2))
+        assert(g.dists(i).toSeq == expect.map(_._1))
+      }
     }
   }
 

@@ -33,7 +33,7 @@ class NNDescentSpec extends SparkSpec {
     val vecs = TestData.tinyVecs
     (0 until 50).foreach { i =>
       res.graph.ids(i).zip(res.graph.dists(i)).foreach { case (j, dd) =>
-        assert(math.abs(dd - repro.core.VecOps.sqDistFF(vecs(i), vecs(j))) < 1e-6)
+        assert(dd == repro.core.VecOps.sqDistFF(vecs(i), vecs(j)))
       }
     }
   }
