@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.exp.{Experiments, ExpRow, Tables}
+import repro.exp.{Experiments, ExpRow}
 
 /** Reproduces the Fig. 4 configuration test (distortion vs graph recall for
   * GK-means / GK-means⁻ / KGraph+GK-means) as a table of the plotted points,
@@ -10,7 +10,7 @@ import repro.exp.{Experiments, ExpRow, Tables}
   */
 object ConfigJob {
   def main(args: Array[String]): Unit = JobSession.run("configtest") { spark =>
-    val rows = Tables.configTest(
+    val rows = Experiments.configTest(
       spark,
       n = JobSession.intArg(args, 0, 20000),
       k = JobSession.intArg(args, 1, 1000),

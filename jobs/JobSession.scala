@@ -13,7 +13,7 @@ final case class Claim(name: String, ok: Boolean, detail: String)
   */
 object JobSession {
   def create(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", 64)

@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.exp.{Experiments, ExpRow, Tables}
+import repro.exp.{Experiments, ExpRow}
 
 /** Reproduces the Fig. 5 clustering-quality comparison (distortion vs
   * iteration and vs time) as tables, one dataset per run, and checks its
@@ -14,7 +14,7 @@ object QualityJob {
     val dataset = if (args.nonEmpty) args(0) else "sift"
     val n = JobSession.intArg(args, 1, 20000)
     val k = JobSession.intArg(args, 2, 1000)
-    val rows = Tables.quality(spark, dataset, n = n, k = k, iters = JobSession.intArg(args, 3, 12))
+    val rows = Experiments.quality(spark, dataset, n = n, k = k, iters = JobSession.intArg(args, 3, 12))
     println(s"== Fig. 5 (as table): $dataset-lite, n=$n, k=$k ==")
     println(Experiments.fmtTable(rows))
     rows.foreach { r =>

@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.exp.{Experiments, ExpRow, Tables}
+import repro.exp.{Experiments, ExpRow}
 
 /** Reproduces the Fig. 6/7 scalability study (time and distortion as n and
   * k vary) as tables of the plotted points, and checks its shape claims.
@@ -9,7 +9,7 @@ import repro.exp.{Experiments, ExpRow, Tables}
   */
 object ScalabilityJob {
   def main(args: Array[String]): Unit = JobSession.run("scalability") { spark =>
-    val rows = Tables.scalability(
+    val rows = Experiments.scalability(
       spark,
       ns = Seq(10000, 30000, 60000), fixedK = 512,
       ks = Seq(512, 1024, 2048), fixedN = 30000,

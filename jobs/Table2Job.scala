@@ -1,6 +1,6 @@
 package repro.jobs
 
-import repro.exp.{Experiments, ExpRow, Table2Config, Tables}
+import repro.exp.{Experiments, ExpRow}
 
 /** Reproduces paper Table 2 (VLAD10M partitioned into 1M clusters; here the
   * scaled stand-in with the paper's n/k = 10 ratio) and checks its shape
@@ -11,9 +11,9 @@ import repro.exp.{Experiments, ExpRow, Table2Config, Tables}
 object Table2Job {
   def main(args: Array[String]): Unit = JobSession.run("table2") { spark =>
     val n = JobSession.intArg(args, 0, 60000)
-    val cfg = Table2Config(n = n, k = JobSession.intArg(args, 1, n / 10), iters = JobSession.intArg(args, 2, 20))
-    val (rows, estimateSec) = Tables.table2(spark, cfg)
-    println(s"== Table 2: ${cfg.n} x 64 -> ${cfg.k} clusters (paper: 10M x 512 -> 1M) ==")
+    val k = JobSession.intArg(args, 1, n / 10)
+    val (rows, estimateSec) = Experiments.table2(spark, n, k, iters = JobSession.intArg(args, 2, 20))
+    println(s"== Table 2: $n x ${rows.head.d} -> $k clusters (paper: 10M x 512 -> 1M) ==")
     println(Experiments.fmtTable(rows))
     println(f"traditional k-means, extrapolated full-scan cost: ${estimateSec}%.1f s " +
       f"(paper's analogue of the '3 years' estimate)")

@@ -83,7 +83,7 @@ object Clustering {
       seed: Long,
       rule: Engine.Rule = Engine.BoostRule,
   ): FitResult = {
-    require(kappa >= 1, s"need kappa=$kappa >= 1")
+    require(kappa >= 1 && kappa < n, s"need 1 <= kappa=$kappa < n=$n")
     require(graph.length == n, s"graph has ${graph.length} rows, expected n=$n")
     graph.indices.foreach { i =>
       require(graph(i).forall(j => j >= 0 && j < n), s"graph row $i has a neighbour id outside [0, $n)")

@@ -50,8 +50,8 @@ object GraphBuilder {
     require(xi >= 2, s"xi=$xi too small")
     val sc = points.sparkSession.sparkContext
     val k0 = math.max(2, n / xi)
-    val kap = math.min(kappa, n - 1) // the join closure reads this, not `graph.kappa`, so its tasks do not carry the graph
-    val graph = KnnGraph.random(n, kap, seed)
+    require(kappa < n, s"need kappa=$kappa < n=$n")
+    val graph = KnnGraph.random(n, kappa, seed)
     val recalls = Vector.newBuilder[Double]
     val t0 = System.nanoTime()
     val vecs = Points.collectVecs(points, n, d)
@@ -63,14 +63,15 @@ object GraphBuilder {
         val state0 = ClusterState.fromLabels(points, labels0, k0, d)
         val bcG = sc.broadcast(graph.ids)
         val labels =
-          try Engine.epoch(points, labels0, state0, new GraphNbrGen(bcG, kap), Engine.BoostRule, recomputeState = false).labels
+          try Engine.epoch(points, labels0, state0, new GraphNbrGen(bcG, kappa), Engine.BoostRule, recomputeState = false).labels
           finally bcG.destroy()
         val members = Array.fill(k0)(Array.newBuilder[Int])
         var i = 0
         while (i < n) { members(labels(i)) += i; i += 1 }
+        // The closure reads `kappa`, not `graph.kappa`, so its tasks do not carry the graph.
         val chunks = sc
           .parallelize(members.map(_.result()).toSeq, sc.defaultParallelism)
-          .flatMap(m => LocalKMeans.inClusterTopK(m.map(_.toLong), m.map(bcV.value(_)), kap))
+          .flatMap(m => LocalKMeans.inClusterTopK(m.map(_.toLong), m.map(bcV.value(_)), kappa))
           .collect()
         chunks.foreach { ch =>
           var j = 0

@@ -34,25 +34,25 @@ object NNDescent {
       convergenceDelta: Double = 0.002,
       probe: Option[Probe] = None,
   ): BuildResult = {
+    require(kappa < n, s"need kappa=$kappa < n=$n")
     val sp = points.sparkSession
     import sp.implicits._
     val t0 = System.nanoTime()
-    val kap = math.min(kappa, n - 1)
     val vecs = Points.collectVecs(points, n, d)
     val bcV = sp.sparkContext.broadcast(vecs)
     val recalls = Vector.newBuilder[Double]
     try {
       // Random graph with measured distances: each row's ids, in ascending
       // order, merge into the row, whose MaxValue entries are the placeholders.
-      val graph = KnnGraph.random(n, kap, seed)
+      val graph = KnnGraph.random(n, kappa, seed)
       var i = 0
       while (i < n) {
         graph.ids(i).sorted.foreach(j => graph.merge(i, j, VecOps.sqDistFF(vecs(i), vecs(j))))
         i += 1
       }
-      val fresh = Array.fill(n, kap)(true)
+      val fresh = Array.fill(n, kappa)(true)
       val rng = new Random(seed ^ 0xBEEF)
-      val sampleCap = math.max(1, (rho * kap).toInt)
+      val sampleCap = math.max(1, (rho * kappa).toInt)
 
       var t = 0
       var done = false
@@ -63,7 +63,7 @@ object NNDescent {
         i = 0
         while (i < n) {
           var j = 0
-          while (j < kap) {
+          while (j < kappa) {
             val tgt = graph.ids(i)(j)
             if (fresh(i)(j)) revNew(tgt) ::= i else revOld(tgt) ::= i
             j += 1
@@ -147,7 +147,7 @@ object NNDescent {
         probe.foreach { pr =>
           recalls += Metrics.recallTop1(graph.ids, graph.dists, pr.probeIds, pr.trueIds, pr.trueDists)
         }
-        done = updates < convergenceDelta * n * kap
+        done = updates < convergenceDelta * n * kappa
         t += 1
       }
       BuildResult(graph, (System.nanoTime() - t0) / 1000000, recalls.result())

@@ -2,7 +2,7 @@ package repro
 
 import repro.core._
 import repro.eval.Metrics
-import repro.exp.{Experiments, Table2Config, Tables}
+import repro.exp.Experiments
 import repro.knn.{GraphBuilder, Probe}
 
 /** End-to-end pipeline tests: the full GK-means stack (Alg. 3 graph → Alg. 2
@@ -29,10 +29,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("miniature Table 2 runs end-to-end and orders methods plausibly") {
-    val cfg = Table2Config(
-      n = 1500, k = 150, kappa = 8, xi = 25, tau = 3, iters = 5,
-      nndIters = 2, rho = 0.5, probes = 60, closureBucket = 30, seed = 3)
-    val (rows, estimate) = Tables.table2(spark, cfg)
+    val (rows, estimate) = Experiments.table2(spark, n = 1500, k = 150, iters = 5)
     assert(rows.map(_.method) == Seq("KGraph+GK-means", "GK-means", "closure k-means", "BKM (ref)"))
     assert(rows.forall(r => r.distortion > 0 && r.totalSec > 0))
     assert(estimate > 0)
@@ -43,7 +40,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("miniature config test (Fig. 4) produces all three variants per tau") {
-    val rows = Tables.configTest(spark, n = 1000, k = 60, taus = Seq(1, 3), iters = 3, seed = 4, kappa = 6, xi = 20)
+    val rows = Experiments.configTest(spark, n = 1000, k = 60, taus = Seq(1, 3), iters = 3)
     assert(rows.length == 6)
     assert(rows.count(_.method.startsWith("GK-means(")) == 2)
     assert(rows.count(_.method.startsWith("GK-means-(")) == 2)
@@ -51,14 +48,13 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("miniature quality run (Fig. 5) returns one row per method") {
-    val rows = Tables.quality(spark, "vlad", n = 1200, k = 40, iters = 3, seed = 5, kappa = 6, xi = 20, tau = 2)
+    val rows = Experiments.quality(spark, "vlad", n = 1200, k = 40, iters = 3)
     assert(rows.map(_.method) == Seq("k-means", "BKM", "Mini-Batch", "closure k-means", "GK-means", "KGraph+GK-means"))
     assert(rows.forall(_.distortionByIter.nonEmpty))
   }
 
   test("miniature scalability run (Fig. 6/7) covers both sweeps") {
-    val rows = Tables.scalability(spark, ns = Seq(800), fixedK = 20, ks = Seq(30), fixedN = 800,
-      iters = 2, seed = 6, kappa = 6, xi = 20, tau = 2)
+    val rows = Experiments.scalability(spark, ns = Seq(800), fixedK = 20, ks = Seq(30), fixedN = 800, iters = 2)
     assert(rows.length == 10) // 5 methods x (1 n-point + 1 k-point)
     assert(rows.forall(_.distortion > 0))
   }

@@ -40,6 +40,12 @@ class ClusteringSpec extends SparkSpec {
     }
   }
 
+  test("gkMeans rejects kappa = n, naming kappa and n") {
+    val g = KnnGraph.random(200, 4, 1).ids
+    val e = intercept[IllegalArgumentException](Clustering.gkMeans(TestData.d4, 200, 10, 4, g, 200, iters = 2, seed = 1))
+    assert(e.getMessage.contains("kappa=200") && e.getMessage.contains("n=200"), e.getMessage)
+  }
+
   test("randomSeedState holds k fallback centroids from the data") {
     val st = Clustering.randomSeedState(points, n, 12, d, 3)
     assert(st.k == 12 && st.cnt.forall(_ == 0))

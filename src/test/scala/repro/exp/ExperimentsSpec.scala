@@ -23,7 +23,7 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("kgraphGkRun labels the method correctly") {
-    val (row, _, _) = Experiments.kgraphGkRun(points, n, d, k = 40, kappa = 6, nndIters = 2, rho = 0.5, iters = 3, seed = 2, None)
+    val row = Experiments.kgraphGkRun(points, n, d, k = 40, kappa = 6, nndIters = 2, rho = 0.5, iters = 3, seed = 2, None)
     assert(row.method == "KGraph+GK-means")
     assert(row.recall.isNaN) // no probe supplied
   }
@@ -34,14 +34,14 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("lloydRun and boostRun produce comparable rows") {
-    val (ll, _) = Experiments.lloydRun(points, n, d, k = 20, iters = 3, seed = 4)
-    val (bk, _) = Experiments.boostRun(points, n, d, k = 20, iters = 3, seed = 4)
+    val ll = Experiments.lloydRun(points, n, d, k = 20, iters = 3, seed = 4)
+    val bk = Experiments.boostRun(points, n, d, k = 20, iters = 3, seed = 4)
     assert(ll.method == "k-means" && bk.method == "BKM")
     assert(ll.distortion > 0 && bk.distortion > 0)
   }
 
   test("miniBatchRun row carries the batch count as iters") {
-    val (row, _) = Experiments.miniBatchRun(points, n, d, k = 20, batches = 7, batchSize = 100, seed = 5)
+    val row = Experiments.miniBatchRun(points, n, d, k = 20, batches = 7, batchSize = 100, seed = 5)
     assert(row.method == "Mini-Batch" && row.iters == 7)
   }
 
@@ -51,7 +51,7 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("fmtTable renders every method row") {
-    val (ll, _) = Experiments.lloydRun(TestData.tiny, 600, 8, k = 10, iters = 2, seed = 7)
+    val ll = Experiments.lloydRun(TestData.tiny, 600, 8, k = 10, iters = 2, seed = 7)
     val s = Experiments.fmtTable(Seq(ll))
     assert(s.contains("k-means") && s.contains("Method") && s.contains("N.A."))
   }
@@ -65,14 +65,14 @@ class ExperimentsSpec extends SparkSpec {
   }
 
   test("table1 reports the four datasets with correct dims") {
-    val rows = Tables.table1(spark)
+    val rows = Experiments.table1(spark)
     assert(rows.map(_.name) == Seq("SIFT1M-lite", "VLAD10M-lite", "Glove1M-lite", "GIST1M-lite"))
     assert(rows.map(_.d) == Seq(128, 64, 100, 480))
     assert(rows.forall(_.n > 0))
   }
 
   test("fmtTable1 renders the dataset rows") {
-    val s = Tables.fmtTable1(Seq(Tables.DatasetRow("X", "1M x 2", 10, 2, "t")))
+    val s = Experiments.fmtTable1(Seq(Experiments.DatasetRow("X", "1M x 2", 10, 2, "t")))
     assert(s.contains("X") && s.contains("Dataset"))
   }
 }

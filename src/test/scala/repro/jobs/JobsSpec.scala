@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.{ExpRow, Tables}
+import repro.exp.{ExpRow, Experiments}
 
 /** The paper shape claims each `jobs/` main checks, on hand-built rows: rows
   * that meet every claim pass them all, and breaking one claim's condition
@@ -32,7 +32,7 @@ class JobsSpec extends AnyFunSuite {
     }
   }
 
-  claimTests("Table1Job", Seq(20000L, 100000L).map(n => Tables.DatasetRow("x", "1M x 1", n, 1, "t")),
+  claimTests("Table1Job", Seq(20000L, 100000L).map(n => Experiments.DatasetRow("x", "1M x 1", n, 1, "t")),
     Table1Job.claims)(
     "n_at_least_20k" -> (_.map(_.copy(n = 19999L))),
   )

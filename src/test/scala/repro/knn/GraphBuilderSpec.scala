@@ -99,6 +99,12 @@ class GraphBuilderSpec extends SparkSpec {
     } finally re.unpersist()
   }
 
+  test("rejects kappa = n, naming kappa and n") {
+    val e = intercept[IllegalArgumentException](
+      GraphBuilder.build(TestData.d4, 200, 4, kappa = 200, xi = 10, tau = 1, seed = 11))
+    assert(e.getMessage.contains("kappa=200") && e.getMessage.contains("n=200"), e.getMessage)
+  }
+
   test("rejects degenerate xi") {
     assertThrows[IllegalArgumentException](
       GraphBuilder.build(points, n, d, kappa = 4, xi = 1, tau = 1, seed = 10))

@@ -49,4 +49,10 @@ class NNDescentSpec extends SparkSpec {
     val res = NNDescent.build(smallPts, 200, 4, kappa = 20, maxIters = 3, rho = 0.5, seed = 6)
     assert(res.graph.kappa == 20)
   }
+
+  test("rejects kappa = n, naming kappa and n") {
+    val e = intercept[IllegalArgumentException](
+      NNDescent.build(TestData.d4, 200, 4, kappa = 200, maxIters = 1, rho = 0.5, seed = 7))
+    assert(e.getMessage.contains("kappa=200") && e.getMessage.contains("n=200"), e.getMessage)
+  }
 }
