@@ -2,7 +2,6 @@ package repro.baselines
 
 import org.apache.spark.sql.Dataset
 import repro.core._
-import repro.eval.Metrics
 import scala.util.Random
 
 /** Closure k-means baseline (Wang et al., CVPR'12 "fast approximate k-means

@@ -31,14 +31,15 @@ final class AllClustersGen(k: Int) extends CandidateGen {
   override def maxCandidates: Int = k
 }
 
-/** Clusters where the sample's top-κ graph neighbours reside (Alg. 2). */
+/** Clusters where the sample's top-κ graph neighbours reside (Alg. 2);
+  * every graph row holds at least κ neighbours.
+  */
 final class GraphNbrGen(bcGraph: Broadcast[Array[Array[Int]]], kappa: Int) extends CandidateGen {
   override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int = {
     val row = bcGraph.value(p.id.toInt)
-    val m = math.min(kappa, row.length)
     var i = 0
-    while (i < m) { buf(i) = labels(row(i)); i += 1 }
-    m
+    while (i < kappa) { buf(i) = labels(row(i)); i += 1 }
+    kappa
   }
   override def maxCandidates: Int = kappa
 }

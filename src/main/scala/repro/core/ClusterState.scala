@@ -64,27 +64,36 @@ object ClusterState {
       prev: Option[ClusterState] = None,
   ): ClusterState = {
     val bcL = points.sparkSession.sparkContext.broadcast(labels)
-    val chunks =
+    val parts =
       try {
         points.rdd
           .mapPartitions { it =>
             val lab = bcL.value
-            val acc = new PartialSums(d)
+            val acc = new PartialSums(k, d)
             it.foreach(p => acc.add(lab(p.id.toInt), p.vec))
-            acc.chunks.iterator
+            Iterator.single(acc)
           }
           .collect()
       } finally bcL.destroy()
-    fromSums(chunks, k, d, prev)
+    fromSums(parts, k, d, prev)
   }
 
-  /** State from every partition's partial sums, in collect order; clusters
-    * no chunk touches are empty and fall back as in [[fromLabels]].
+  /** State from every partition's partial sums: each cluster adds the
+    * partitions' rows in collect order, starting from a zero vector. Clusters
+    * no partition touches are empty and fall back as in [[fromLabels]].
     */
-  private[core] def fromSums(chunks: Array[SumChunk], k: Int, d: Int, prev: Option[ClusterState]): ClusterState = {
-    val (comp, cnt) = PartialSums.merge(chunks, k, d)
+  private[core] def fromSums(parts: Array[PartialSums], k: Int, d: Int, prev: Option[ClusterState]): ClusterState = {
+    val comp = new Array[Array[Double]](k)
+    val cnt = new Array[Long](k)
     var r = 0
     while (r < k) {
+      parts.foreach { p =>
+        if (p.sum(r) != null) {
+          if (comp(r) == null) comp(r) = new Array[Double](d)
+          VecOps.addToDD(comp(r), p.sum(r))
+          cnt(r) += p.cnt(r)
+        }
+      }
       if (comp(r) == null) comp(r) = prev.fold(new Array[Double](d))(_.centroid(r).clone())
       r += 1
     }
@@ -101,40 +110,17 @@ object ClusterState {
   }
 }
 
-/** Sparse per-cluster partial sums of one partition (a partition holds far
-  * fewer than k distinct clusters once k is large): `add(r, x)` adds x to
-  * key r, and `chunks` emits one [[SumChunk]] per key touched.
+/** One partition's per-cluster sums and counts, indexed by cluster:
+  * `add(r, x)` adds x to row r, which stays null until the partition adds a
+  * point to cluster r.
   */
-private[core] final class PartialSums(d: Int) {
-  private val slots = new java.util.HashMap[Int, PartialSums.Slot]()
+private[core] final class PartialSums(k: Int, d: Int) extends Serializable {
+  val sum = new Array[Array[Double]](k)
+  val cnt = new Array[Long](k)
 
   def add(r: Int, x: Array[Float]): Unit = {
-    var s = slots.get(r)
-    if (s == null) { s = new PartialSums.Slot(new Array[Double](d)); slots.put(r, s) }
-    VecOps.addTo(s.sum, x)
-    s.cnt += 1
-  }
-
-  def chunks: Array[SumChunk] = {
-    import scala.jdk.CollectionConverters._
-    slots.asScala.iterator.map { case (r, s) => SumChunk(r, s.sum, s.cnt) }.toArray
-  }
-}
-
-private[core] object PartialSums {
-  private final class Slot(val sum: Array[Double]) { var cnt = 0L }
-
-  /** Sums the chunks per key in collect order, each from a zero vector;
-    * keys no chunk touches keep a null sum and a zero count.
-    */
-  def merge(chunks: Array[SumChunk], keys: Int, d: Int): (Array[Array[Double]], Array[Long]) = {
-    val sum = new Array[Array[Double]](keys)
-    val cnt = new Array[Long](keys)
-    chunks.foreach { c =>
-      if (sum(c.r) == null) sum(c.r) = new Array[Double](d)
-      VecOps.addToDD(sum(c.r), c.sum)
-      cnt(c.r) += c.cnt
-    }
-    (sum, cnt)
+    if (sum(r) == null) sum(r) = new Array[Double](d)
+    VecOps.addTo(sum(r), x)
+    cnt(r) += 1
   }
 }

@@ -70,7 +70,7 @@ object Clustering {
   /** GK-means (paper Alg. 2): 2M-tree initial clusters, then epochs where
     * each sample only visits the clusters its top-κ graph neighbours live in.
     * `rule = NearestRule` gives the paper's GK-means⁻ ablation. `graph` has
-    * one row per point, of neighbour ids in `[0, n)`.
+    * one row per point, of at least κ neighbour ids in `[0, n)`.
     */
   def gkMeans(
       points: Dataset[Point],
@@ -86,6 +86,7 @@ object Clustering {
     require(kappa >= 1 && kappa < n, s"need 1 <= kappa=$kappa < n=$n")
     require(graph.length == n, s"graph has ${graph.length} rows, expected n=$n")
     graph.indices.foreach { i =>
+      require(graph(i).length >= kappa, s"graph row $i has ${graph(i).length} neighbours, need kappa=$kappa")
       require(graph(i).forall(j => j >= 0 && j < n), s"graph row $i has a neighbour id outside [0, $n)")
     }
     val sc = points.sparkSession.sparkContext

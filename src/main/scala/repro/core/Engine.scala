@@ -120,7 +120,7 @@ object Engine {
               m
             }
             val ls = if (rule == BoostRule) new LocalState(st) else null
-            val sums = new PartialSums(st.d)
+            val sums = if (recomputeState) new PartialSums(st.k, st.d) else null
             it.foreach { p =>
               val u = lab(p.id.toInt)
               val x = p.vec
@@ -159,9 +159,9 @@ object Engine {
                   best
               }
               if (to != u) { movedIds += p.id; movedTo += to }
-              if (recomputeState) sums.add(to, x)
+              if (sums != null) sums.add(to, x)
             }
-            Iterator.single(MoveChunk(movedIds.result(), movedTo.result(), evals, sums.chunks))
+            Iterator.single(MoveChunk(movedIds.result(), movedTo.result(), evals, sums))
           }
           .collect()
       } finally { bcL.destroy(); bcS.destroy() }
@@ -176,7 +176,7 @@ object Engine {
       moved += ch.ids.length
     }
     val newState =
-      if (recomputeState) ClusterState.fromSums(chunks.flatMap(_.sums), state.k, state.d, Some(state))
+      if (recomputeState) ClusterState.fromSums(chunks.map(_.sums), state.k, state.d, Some(state))
       else state
     EpochResult(newLabels, newState, moved, evals)
   }

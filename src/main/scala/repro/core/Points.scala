@@ -11,12 +11,10 @@ import org.apache.spark.sql.{DataFrame, Dataset}
 final case class Point(id: Long, vec: Array[Float])
 
 /** Per-partition chunk of accepted moves emitted by one `Engine.epoch` pass,
-  * plus the partition's per-cluster sums under the new labels.
+  * plus the partition's per-cluster sums under the new labels (null when the
+  * epoch does not recompute its state).
   */
-final case class MoveChunk(ids: Array[Long], target: Array[Int], evals: Long, sums: Array[SumChunk])
-
-/** Per-partition sparse partial sum for one cluster (composite + count). */
-final case class SumChunk(r: Int, sum: Array[Double], cnt: Long)
+private[core] final case class MoveChunk(ids: Array[Long], target: Array[Int], evals: Long, sums: PartialSums)
 
 /** One point's candidate-neighbour list produced by in-cluster refinement. */
 final case class NbrChunk(id: Long, nbrs: Array[Int], dists: Array[Double])

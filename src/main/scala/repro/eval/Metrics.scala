@@ -1,7 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.Dataset
 import repro.core.{ClusterState, Point, Points, VecOps}
 
 /** Partial brute-force scan result: best (dist, id) per probe sample. */
@@ -111,25 +110,5 @@ object Metrics {
       q += 1
     }
     hit.toDouble / probeIds.length
-  }
-
-  /** Clustering purity against generator ground truth, via the DataFrame API
-    * (contingency counts per (label, gt) pair — Catalyst aggregation).
-    * `gtDf` must have columns (id, gt).
-    */
-  def purity(gtDf: DataFrame, labels: Array[Int], n: Long): Double = {
-    val sp = gtDf.sparkSession
-    import sp.implicits._
-    val bcL = sp.sparkContext.broadcast(labels)
-    try {
-      val withLab = gtDf
-        .select(col("id").cast("long"), col("gt").cast("int"))
-        .as[(Long, Int)]
-        .map { case (id, gt) => (bcL.value(id.toInt), gt) }
-        .toDF("label", "gt")
-      val contingency = withLab.groupBy("label", "gt").agg(count(lit(1)) as "c")
-      val majority = contingency.groupBy("label").agg(max("c") as "m")
-      majority.agg(sum("m")).collect()(0).getLong(0).toDouble / n
-    } finally bcL.destroy()
   }
 }

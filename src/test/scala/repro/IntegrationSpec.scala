@@ -1,7 +1,7 @@
 package repro
 
 import repro.core._
-import repro.eval.Metrics
+import repro.eval.Purity
 import repro.exp.Experiments
 import repro.knn.{GraphBuilder, Probe}
 
@@ -15,7 +15,7 @@ class IntegrationSpec extends SparkSpec {
     val points = TestData.tiny
     val build = GraphBuilder.build(points, 600, 8, kappa = 8, xi = 25, tau = 4, seed = 1)
     val fit = Clustering.gkMeans(points, 600, 12, 8, build.graph.ids, 8, iters = 10, seed = 1)
-    val purity = Metrics.purity(TestData.tinyDf.select("id", "gt"), fit.labels, 600)
+    val purity = Purity(TestData.tinyDf.select("id", "gt"), fit.labels, 600)
     assert(purity > 0.7, s"purity=$purity")
   }
 

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.{SparkSpec, TestData}
-import repro.core.{ClusterState, Clustering, Engine, AllClustersGen}
+import repro.core.{Clustering, Engine, AllClustersGen}
 import repro.eval.Metrics
 
 /** Mini-Batch and closure k-means baselines. */

@@ -75,7 +75,8 @@ class BoostMathSpec extends AnyFunSuite {
   test("pulling x out of a cluster it pollutes is profitable") {
     // Su = {x, y} with x far from y; moving x to an empty cluster helps
     val x = Array(10f, 0f); val y = Array(-10f, 0f)
-    val comp = Array(0.0, 0.0)
+    val comp = new Array[Double](2)
+    VecOps.addTo(comp, x); VecOps.addTo(comp, y)
     val xx = VecOps.normSqF(x)
     val delta = BoostMath.removalGain(VecOps.normSqD(comp), 2, VecOps.dotFD(x, comp), xx) +
       BoostMath.insertionGain(0.0, 0, 0.0, xx)

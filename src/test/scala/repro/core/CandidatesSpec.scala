@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{SparkSpec, TestData}
+import repro.SparkSpec
 
 /** Candidate generators: closure and seed-closure semantics. Asserts check
   * the exact emitted sequence, since the engine's tie-breaking follows it.

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
 import repro.eval.Metrics
 
@@ -163,12 +162,17 @@ class ClusterStateSpec extends SparkSpec {
       assert(rddIds.map(_.toSeq).toSeq == dsIds.map(_.toSeq).toSeq)
 
       // fromLabels and sumSqNorm as typed Dataset queries.
-      val chunks = pts.mapPartitions { it =>
-        val acc = new PartialSums(d)
+      val parts = pts.mapPartitions { it =>
+        val acc = new PartialSums(k, d)
         it.foreach(p => acc.add(labels(p.id.toInt), p.vec))
-        acc.chunks.iterator
-      }.collect()
-      val want = ClusterState.fromSums(chunks, k, d, None)
+        Iterator.single((acc.sum, acc.cnt))
+      }.collect().map { case (sum, cnt) =>
+        val acc = new PartialSums(k, d)
+        sum.copyToArray(acc.sum)
+        cnt.copyToArray(acc.cnt)
+        acc
+      }
+      val want = ClusterState.fromSums(parts, k, d, None)
       val got = ClusterState.fromLabels(pts, labels, k, d)
       assert(got.cnt.toSeq == want.cnt.toSeq)
       (0 until k).foreach(r => assert(java.util.Arrays.equals(got.comp(r), want.comp(r)), s"cluster $r"))

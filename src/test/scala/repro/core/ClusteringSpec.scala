@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestData}
 import repro.baselines.MiniBatchKMeans
-import repro.eval.Metrics
+import repro.eval.Purity
 import repro.knn.KnnGraph
 
 /** Lloyd / BKM / GK-means drivers: convergence, quality ordering claims from
@@ -12,7 +12,6 @@ class ClusteringSpec extends SparkSpec {
 
   private lazy val points = TestData.small
   private lazy val vecs = TestData.smallVecs
-  private lazy val gt = TestData.smallGt
   private val n = 3000
   private val d = 16
 
@@ -63,7 +62,7 @@ class ClusteringSpec extends SparkSpec {
 
   test("lloyd recovers well-separated components (high purity)") {
     val fit = Clustering.lloyd(TestData.tiny, 600, 12, 8, iters = 12, seed = 5)
-    val p = Metrics.purity(TestData.tinyDf.select("id", "gt"), fit.labels, 600)
+    val p = Purity(TestData.tinyDf.select("id", "gt"), fit.labels, 600)
     assert(p > 0.75, s"purity=$p")
   }
 
@@ -158,6 +157,8 @@ class ClusteringSpec extends SparkSpec {
     val g = Array.tabulate(n)(i => Array((i + 1) % n, (i + 2) % n))
     val short = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, g.init, 2, 1, 18))
     assert(short.getMessage.contains(s"${n - 1} rows"), short.getMessage)
+    val shortRow = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, g.updated(17, Array(0)), 2, 1, 18))
+    assert(shortRow.getMessage.contains("row 17") && shortRow.getMessage.contains("kappa=2"), shortRow.getMessage)
     Seq(-1, n).foreach { bad =>
       val e = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, g.updated(17, Array(0, bad)), 2, 1, 18))
       assert(e.getMessage.contains("row 17"), e.getMessage)

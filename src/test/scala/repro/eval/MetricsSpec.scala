@@ -100,14 +100,14 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("purity of the ground-truth labelling is 1.0") {
-    val p = Metrics.purity(TestData.tinyDf.select("id", "gt"), TestData.tinyGt, n)
+    val p = Purity(TestData.tinyDf.select("id", "gt"), TestData.tinyGt, n)
     assert(p == 1.0)
   }
 
   test("purity of a constant labelling equals the largest component share") {
     val labels = Array.fill(n)(0)
     val biggest = TestData.tinyGt.groupBy(identity).map(_._2.length).max
-    val p = Metrics.purity(TestData.tinyDf.select("id", "gt"), labels, n)
+    val p = Purity(TestData.tinyDf.select("id", "gt"), labels, n)
     assert(math.abs(p - biggest.toDouble / n) < 1e-12)
   }
 

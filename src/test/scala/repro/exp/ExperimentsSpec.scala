@@ -1,7 +1,6 @@
 package repro.exp
 
 import repro.{SparkSpec, TestData}
-import repro.core.Points
 import repro.knn.Probe
 
 /** Experiment harness: runners return well-formed table rows; formatting and
