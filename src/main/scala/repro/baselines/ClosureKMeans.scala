@@ -79,6 +79,7 @@ object ClosureKMeans {
       m: Int = 3,
       bucketSize: Int = 50,
   ): FitResult = {
+    require(iters >= 0, s"need iters=$iters >= 0")
     val sc = points.sparkSession.sparkContext
     val t0 = System.nanoTime()
     val (memberOf, buckets) = buildBuckets(points, n, d, m, bucketSize, seed)

@@ -25,6 +25,9 @@ object MiniBatchKMeans {
       seed: Long,
       evalEvery: Int = 0, // 0 = evaluate distortion only at the end
   ): FitResult = {
+    require(batches >= 1, s"need batches=$batches >= 1")
+    require(batchSize >= 1, s"need batchSize=$batchSize >= 1")
+    require(evalEvery >= 0, s"need evalEvery=$evalEvery >= 0")
     val t0 = System.nanoTime()
     // The seed state's fallback centroids, updated in place batch by batch.
     val cents = Clustering.randomSeedState(points, n, k, d, seed).comp

@@ -60,6 +60,7 @@ object Clustering {
   private def fullScan(
       points: Dataset[Point], n: Int, k: Int, d: Int, iters: Int, seed: Long, rule: Engine.Rule,
   ): FitResult = {
+    require(iters >= 0, s"need iters=$iters >= 0")
     val t0 = System.nanoTime()
     val seedState = randomSeedState(points, n, k, d, seed)
     val init = Engine.epoch(points, new Array[Int](n), seedState, new AllClustersGen(k), Engine.NearestRule)
@@ -69,21 +70,28 @@ object Clustering {
 
   /** GK-means (paper Alg. 2): 2M-tree initial clusters, then epochs where
     * each sample only visits the clusters its top-κ graph neighbours live in.
-    * `rule = NearestRule` gives the paper's GK-means⁻ ablation. `graph` has
-    * one row per point, of at least κ neighbour ids in `[0, n)`.
+    * `rule = NearestRule` gives the paper's GK-means⁻ ablation. `vecs` are
+    * the points' vectors in id order, as `Points.collectVecs` returns them
+    * and a graph build keeps them (`BuildResult.vecs`); the init tree runs on
+    * them. `graph` has one row per point, of at least κ neighbour ids in
+    * `[0, n)`.
     */
   def gkMeans(
       points: Dataset[Point],
       n: Int,
       k: Int,
       d: Int,
+      vecs: Array[Array[Float]],
       graph: Array[Array[Int]],
       kappa: Int,
       iters: Int,
       seed: Long,
       rule: Engine.Rule = Engine.BoostRule,
   ): FitResult = {
+    require(k >= 1 && k <= n, s"need 1 <= k=$k <= n=$n")
     require(kappa >= 1 && kappa < n, s"need 1 <= kappa=$kappa < n=$n")
+    require(iters >= 0, s"need iters=$iters >= 0")
+    require(vecs.length == n && vecs.forall(_.length == d), s"vecs must hold n=$n vectors of d=$d values")
     require(graph.length == n, s"graph has ${graph.length} rows, expected n=$n")
     graph.indices.foreach { i =>
       require(graph(i).length >= kappa, s"graph row $i has ${graph(i).length} neighbours, need kappa=$kappa")
@@ -91,7 +99,7 @@ object Clustering {
     }
     val sc = points.sparkSession.sparkContext
     val t0 = System.nanoTime()
-    val labels0 = TwoMeansTree.cluster(points, n, k, d, seed)
+    val labels0 = TwoMeansTree.twoMeansTree(vecs, k, seed)
     val state0 = ClusterState.fromLabels(points, labels0, k, d)
     val initMs = (System.nanoTime() - t0) / 1000000
     val bcG = sc.broadcast(graph)

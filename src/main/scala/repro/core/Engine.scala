@@ -120,6 +120,15 @@ object Engine {
               m
             }
             val ls = if (rule == BoostRule) new LocalState(st) else null
+            // BoostRule's dot products for one point: dots(0) = Dᵤ·x and
+            // dots(1 + j) = D_buf(j)·x, taken two at a time by `dotFD2`.
+            val dots = if (rule == BoostRule) new Array[Double](cand.maxCandidates + 1) else null
+            def boostDots(x: Array[Float], u: Int, m: Int): Unit = {
+              def row(i: Int): Array[Double] = ls.compRow(if (i == 0) u else buf(i - 1))
+              var i = 0
+              while (i < m) { VecOps.dotFD2(x, row(i), row(i + 1), dots, i); i += 2 }
+              if (i == m) dots(m) = VecOps.dotFD(x, row(m))
+            }
             val sums = if (recomputeState) new PartialSums(st.k, st.d) else null
             it.foreach { p =>
               val u = lab(p.id.toInt)
@@ -130,7 +139,8 @@ object Engine {
                 case BoostRule =>
                   // Removal gain g(u) under the local (within-partition) state.
                   // nu >= 1 always: x itself is still a member of Sᵤ here.
-                  val dotU = VecOps.dotFD(x, ls.compRow(u))
+                  boostDots(x, u, m)
+                  val dotU = dots(0)
                   val gU = BoostMath.removalGain(ls.norm(u), ls.cnt(u), dotU, xx)
                   var best = -1
                   var bestGain = 0.0
@@ -138,7 +148,7 @@ object Engine {
                   var j = 0
                   while (j < m) {
                     val v = buf(j)
-                    val dotV = VecOps.dotFD(x, ls.compRow(v))
+                    val dotV = dots(j + 1)
                     val gain = BoostMath.insertionGain(ls.norm(v), ls.cnt(v), dotV, xx) + gU
                     if (gain > bestGain) { bestGain = gain; best = v; bestDotV = dotV }
                     j += 1

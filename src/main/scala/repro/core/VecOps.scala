@@ -30,6 +30,38 @@ object VecOps {
     s
   }
 
+  /** `sqDistFD(v, c1) − sqDistFD(v, c2)` for the float vector v stored,
+    * widened to double, at `buf(off until off + c1.length)`. Widening is
+    * exact, and the two sums run in one loop, each in the order `sqDistFD`
+    * adds, so the result is bit-identical to the two calls while the
+    * additions of one sum do not wait for the other's. On finite sums
+    * x − y ≤ 0 exactly when x ≤ y, so the sign decides which centre is
+    * nearer as the two calls would.
+    */
+  def sqDistDiffDD(buf: Array[Double], off: Int, c1: Array[Double], c2: Array[Double]): Double = {
+    var s1 = 0.0; var s2 = 0.0; var i = 0
+    while (i < c1.length) {
+      val a = buf(off + i)
+      val t1 = a - c1(i); val t2 = a - c2(i)
+      s1 += t1 * t1; s2 += t2 * t2
+      i += 1
+    }
+    s1 - s2
+  }
+
+  /** `out(at) = dotFD(a, c1)` and `out(at + 1) = dotFD(a, c2)`, summed in
+    * one loop, each in `dotFD`'s order, so both are bit-identical to it.
+    */
+  def dotFD2(a: Array[Float], c1: Array[Double], c2: Array[Double], out: Array[Double], at: Int): Unit = {
+    var s1 = 0.0; var s2 = 0.0; var i = 0
+    while (i < a.length) {
+      val x = a(i)
+      s1 += x * c1(i); s2 += x * c2(i)
+      i += 1
+    }
+    out(at) = s1; out(at + 1) = s2
+  }
+
   /** Dot product of two float vectors. */
   def dotFF(a: Array[Float], b: Array[Float]): Double = {
     var s = 0.0; var i = 0
@@ -51,6 +83,12 @@ object VecOps {
   def addTo(acc: Array[Double], x: Array[Float]): Unit = {
     var i = 0
     while (i < acc.length) { acc(i) += x(i); i += 1 }
+  }
+
+  /** acc += the vector at `buf(off until off + acc.length)` (in place). */
+  def addRowTo(acc: Array[Double], buf: Array[Double], off: Int): Unit = {
+    var i = 0
+    while (i < acc.length) { acc(i) += buf(off + i); i += 1 }
   }
 
   /** acc -= x (in place). */

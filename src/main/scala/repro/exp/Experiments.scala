@@ -85,7 +85,7 @@ object Experiments {
       label: String = "GK-means",
   ): (ExpRow, FitResult, BuildResult) = {
     val build = GraphBuilder.build(points, n, d, kappa, xi, tau, seed, probe)
-    val fit = Clustering.gkMeans(points, n, k, d, build.graph.ids, kappa, iters, seed, rule)
+    val fit = Clustering.gkMeans(points, n, k, d, build.vecs, build.graph.ids, kappa, iters, seed, rule)
     (ExpRow.from(label, n, d, k, iters, fit, Some(build)), fit, build)
   }
 
@@ -96,7 +96,7 @@ object Experiments {
       probe: Option[Probe],
   ): ExpRow = {
     val build = NNDescent.build(points, n, d, kappa, nndIters, rho, seed, probe = probe)
-    val fit = Clustering.gkMeans(points, n, k, d, build.graph.ids, kappa, iters, seed)
+    val fit = Clustering.gkMeans(points, n, k, d, build.vecs, build.graph.ids, kappa, iters, seed)
     ExpRow.from("KGraph+GK-means", n, d, k, iters, fit, Some(build))
   }
 

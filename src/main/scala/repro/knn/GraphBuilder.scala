@@ -9,14 +9,39 @@ final case class Probe(probeIds: Array[Long], trueIds: Array[Long], trueDists: A
 
 object Probe {
   def sample(points: Dataset[Point], n: Int, probes: Int, seed: Long): Probe = {
+    require(probes >= 1, s"need probes=$probes >= 1")
     val ids = Clustering.sampleIds(n, math.min(probes, n), seed)
     val (ti, td) = Metrics.bruteTop1(points, ids)
     Probe(ids, ti, td)
   }
 }
 
-/** Result of a graph-construction run, with per-round recall when probed. */
-final case class BuildResult(graph: KnnGraph, buildMs: Long, roundRecalls: Vector[Double])
+/** Where one Alg. 3 round's time went, in ms, and the sizes of its
+  * clusters: the two-means tree, the state of its labels, the Boost epoch,
+  * the in-cluster join (member lists and the Spark job) and the driver merge.
+  */
+final case class RoundRecord(
+    treeMs: Double,
+    stateMs: Double,
+    epochMs: Double,
+    joinMs: Double,
+    mergeMs: Double,
+    maxGroup: Int,
+    medianGroup: Int,
+)
+
+/** Result of a graph-construction run: the graph, per-round recall when
+  * probed, the vectors in id order that the build collected (a GK-means fit
+  * on this graph runs its init tree on them instead of collecting again) and,
+  * for Alg. 3, one record per round.
+  */
+final case class BuildResult(
+    graph: KnnGraph,
+    buildMs: Long,
+    roundRecalls: Vector[Double],
+    vecs: Array[Array[Float]],
+    rounds: Vector[RoundRecord],
+)
 
 /** k-NN graph construction with fast k-means (paper Alg. 3).
   *
@@ -48,41 +73,54 @@ object GraphBuilder {
       probe: Option[Probe] = None,
   ): BuildResult = {
     require(xi >= 2, s"xi=$xi too small")
+    require(tau >= 1, s"need tau=$tau >= 1")
     val sc = points.sparkSession.sparkContext
     val k0 = math.max(2, n / xi)
     require(kappa < n, s"need kappa=$kappa < n=$n")
     val graph = KnnGraph.random(n, kappa, seed)
     val recalls = Vector.newBuilder[Double]
+    val rounds = Vector.newBuilder[RoundRecord]
+    def ms(from: Long, to: Long): Double = (to - from) / 1e6
     val t0 = System.nanoTime()
     val vecs = Points.collectVecs(points, n, d)
     val bcV = sc.broadcast(vecs)
     try {
       var t = 0
       while (t < tau) {
+        val tTree = System.nanoTime()
         val labels0 = TwoMeansTree.twoMeansTree(vecs, k0, seed ^ (1000003L * (t + 1)))
+        val tState = System.nanoTime()
         val state0 = ClusterState.fromLabels(points, labels0, k0, d)
+        val tEpoch = System.nanoTime()
         val bcG = sc.broadcast(graph.ids)
         val labels =
           try Engine.epoch(points, labels0, state0, new GraphNbrGen(bcG, kappa), Engine.BoostRule, recomputeState = false).labels
           finally bcG.destroy()
-        val members = Array.fill(k0)(Array.newBuilder[Int])
+        val tJoin = System.nanoTime()
+        val builders = Array.fill(k0)(Array.newBuilder[Int])
         var i = 0
-        while (i < n) { members(labels(i)) += i; i += 1 }
+        while (i < n) { builders(labels(i)) += i; i += 1 }
+        val members = builders.map(_.result())
         // The closure reads `kappa`, not `graph.kappa`, so its tasks do not carry the graph.
         val chunks = sc
-          .parallelize(members.map(_.result()).toSeq, sc.defaultParallelism)
+          .parallelize(members.toSeq, sc.defaultParallelism)
           .flatMap(m => LocalKMeans.inClusterTopK(m.map(_.toLong), m.map(bcV.value(_)), kappa))
           .collect()
+        val tMerge = System.nanoTime()
         chunks.foreach { ch =>
           var j = 0
           while (j < ch.nbrs.length) { graph.merge(ch.id.toInt, ch.nbrs(j), ch.dists(j)); j += 1 }
         }
+        val tEnd = System.nanoTime()
+        val sizes = members.map(_.length).sorted
+        rounds += RoundRecord(ms(tTree, tState), ms(tState, tEpoch), ms(tEpoch, tJoin), ms(tJoin, tMerge),
+          ms(tMerge, tEnd), sizes(k0 - 1), sizes(k0 / 2))
         probe.foreach { pr =>
           recalls += Metrics.recallTop1(graph.ids, graph.dists, pr.probeIds, pr.trueIds, pr.trueDists)
         }
         t += 1
       }
     } finally bcV.destroy()
-    BuildResult(graph, (System.nanoTime() - t0) / 1000000, recalls.result())
+    BuildResult(graph, (System.nanoTime() - t0) / 1000000, recalls.result(), vecs, rounds.result())
   }
 }

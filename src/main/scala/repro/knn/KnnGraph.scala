@@ -54,17 +54,18 @@ object KnnGraph {
     val rng = new Random(seed)
     val ids = Array.ofDim[Int](n, kappa)
     val dists = Array.fill(n, kappa)(Double.MaxValue)
+    val seen = new java.util.BitSet(n) // the ids of the current row
     var i = 0
     while (i < n) {
-      val seen = new java.util.HashSet[Int]()
       var j = 0
       while (j < kappa) {
         var c = rng.nextInt(n)
-        while (c == i || seen.contains(c)) c = rng.nextInt(n)
-        seen.add(c)
+        while (c == i || seen.get(c)) c = rng.nextInt(n)
+        seen.set(c)
         ids(i)(j) = c
         j += 1
       }
+      ids(i).foreach(seen.clear)
       i += 1
     }
     new KnnGraph(ids, dists)

@@ -150,7 +150,7 @@ object NNDescent {
         done = updates < convergenceDelta * n * kappa
         t += 1
       }
-      BuildResult(graph, (System.nanoTime() - t0) / 1000000, recalls.result())
+      BuildResult(graph, (System.nanoTime() - t0) / 1000000, recalls.result(), vecs, Vector.empty)
     } finally bcV.destroy()
   }
 }

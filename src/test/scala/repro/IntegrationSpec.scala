@@ -14,7 +14,7 @@ class IntegrationSpec extends SparkSpec {
   test("full GK-means pipeline recovers mixture structure with high purity") {
     val points = TestData.tiny
     val build = GraphBuilder.build(points, 600, 8, kappa = 8, xi = 25, tau = 4, seed = 1)
-    val fit = Clustering.gkMeans(points, 600, 12, 8, build.graph.ids, 8, iters = 10, seed = 1)
+    val fit = Clustering.gkMeans(points, 600, 12, 8, build.vecs, build.graph.ids, 8, iters = 10, seed = 1)
     val purity = Purity(TestData.tinyDf.select("id", "gt"), fit.labels, 600)
     assert(purity > 0.7, s"purity=$purity")
   }
@@ -22,7 +22,7 @@ class IntegrationSpec extends SparkSpec {
   test("GK-means with its own graph is close to BKM distortion end-to-end") {
     val points = TestData.small
     val build = GraphBuilder.build(points, 3000, 16, kappa = 10, xi = 30, tau = 5, seed = 2)
-    val gk = Clustering.gkMeans(points, 3000, 100, 16, build.graph.ids, 10, iters = 10, seed = 2)
+    val gk = Clustering.gkMeans(points, 3000, 100, 16, build.vecs, build.graph.ids, 10, iters = 10, seed = 2)
     val bk = Clustering.boost(points, 3000, 100, 16, iters = 10, seed = 2)
     assert(gk.finalDistortion <= bk.finalDistortion * 1.2,
       s"gk=${gk.finalDistortion} bkm=${bk.finalDistortion}")
@@ -71,7 +71,7 @@ class IntegrationSpec extends SparkSpec {
   test("the speedup claim: GK-means evals are orders of magnitude below BKM at large k") {
     val points = TestData.small
     val build = GraphBuilder.build(points, 3000, 16, kappa = 8, xi = 30, tau = 3, seed = 8)
-    val gk = Clustering.gkMeans(points, 3000, 300, 16, build.graph.ids, 8, iters = 5, seed = 8)
+    val gk = Clustering.gkMeans(points, 3000, 300, 16, build.vecs, build.graph.ids, 8, iters = 5, seed = 8)
     val perIterPerPoint = gk.distEvals.toDouble / (5 * 3000)
     assert(perIterPerPoint <= 8.0, s"GK-means evaluated $perIterPerPoint clusters/point/iter")
   }

@@ -22,6 +22,17 @@ class BaselinesSpec extends SparkSpec {
     assert(fit.finalDistortion < seedDist, s"mb=${fit.finalDistortion} seed=$seedDist")
   }
 
+  test("mini-batch rejects batches and batchSize below 1 and evalEvery below 0, naming them") {
+    Seq(
+      "batches=0" -> (() => MiniBatchKMeans.fit(points, n, 5, d, batches = 0, batchSize = 100, seed = 1)),
+      "batchSize=0" -> (() => MiniBatchKMeans.fit(points, n, 5, d, batches = 2, batchSize = 0, seed = 1)),
+      "evalEvery=-1" -> (() => MiniBatchKMeans.fit(points, n, 5, d, batches = 2, batchSize = 100, seed = 1, evalEvery = -1)),
+    ).foreach { case (name, fit) =>
+      val e = intercept[IllegalArgumentException](fit())
+      assert(e.getMessage.contains(name), e.getMessage)
+    }
+  }
+
   test("mini-batch produces valid labels and k centroids") {
     val fit = MiniBatchKMeans.fit(points, n, 15, d, batches = 10, batchSize = 200, seed = 2)
     assert(fit.labels.forall(l => l >= 0 && l < 15))
@@ -85,6 +96,11 @@ class BaselinesSpec extends SparkSpec {
   test("closure k-means improves on its seeding") {
     val fit = ClosureKMeans.fit(points, n, 40, d, iters = 8, seed = 8, bucketSize = 40)
     assert(fit.finalDistortion < fit.distortionByIter.head)
+  }
+
+  test("closure k-means rejects iters < 0, naming iters") {
+    val e = intercept[IllegalArgumentException](ClosureKMeans.fit(points, n, 10, d, iters = -1, seed = 1))
+    assert(e.getMessage.contains("iters=-1"), e.getMessage)
   }
 
   test("closure k-means labels are valid") {

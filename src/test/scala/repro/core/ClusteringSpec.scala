@@ -34,15 +34,35 @@ class ClusteringSpec extends SparkSpec {
   test("gkMeans rejects kappa below 1, naming kappa") {
     val g = KnnGraph.random(n, 4, 1).ids
     Seq(-1, 0).foreach { kappa =>
-      val e = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, g, kappa, iters = 2, seed = 1))
+      val e = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, vecs, g, kappa, iters = 2, seed = 1))
       assert(e.getMessage.contains(s"kappa=$kappa"), e.getMessage)
     }
   }
 
   test("gkMeans rejects kappa = n, naming kappa and n") {
     val g = KnnGraph.random(200, 4, 1).ids
-    val e = intercept[IllegalArgumentException](Clustering.gkMeans(TestData.d4, 200, 10, 4, g, 200, iters = 2, seed = 1))
+    val e = intercept[IllegalArgumentException](Clustering.gkMeans(TestData.d4, 200, 10, 4, TestData.d4Vecs, g, 200, iters = 2, seed = 1))
     assert(e.getMessage.contains("kappa=200") && e.getMessage.contains("n=200"), e.getMessage)
+  }
+
+  test("lloyd, boost and gkMeans reject iters < 0, naming iters") {
+    val g = KnnGraph.random(n, 4, 1).ids
+    Seq[() => FitResult](
+      () => Clustering.lloyd(points, n, 10, d, iters = -1, seed = 1),
+      () => Clustering.boost(points, n, 10, d, iters = -1, seed = 1),
+      () => Clustering.gkMeans(points, n, 10, d, vecs, g, 4, iters = -1, seed = 1),
+    ).foreach { fit =>
+      val e = intercept[IllegalArgumentException](fit())
+      assert(e.getMessage.contains("iters=-1"), e.getMessage)
+    }
+  }
+
+  test("gkMeans rejects vectors that do not match n and d") {
+    val g = KnnGraph.random(n, 4, 1).ids
+    Seq(vecs.init, vecs.map(_.take(d - 1))).foreach { bad =>
+      val e = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, bad, g, 4, iters = 1, seed = 1))
+      assert(e.getMessage.contains(s"n=$n") && e.getMessage.contains(s"d=$d"), e.getMessage)
+    }
   }
 
   test("randomSeedState holds k fallback centroids from the data") {
@@ -80,7 +100,7 @@ class ClusteringSpec extends SparkSpec {
 
   test("gkMeans with the exact graph approaches BKM quality (paper Fig. 4 claim)") {
     val g = KnnGraph.bruteForce(vecs, 10)
-    val gk = Clustering.gkMeans(points, n, 50, d, g.ids, 10, iters = 10, seed = 8)
+    val gk = Clustering.gkMeans(points, n, 50, d, vecs, g.ids, 10, iters = 10, seed = 8)
     val bk = Clustering.boost(points, n, 50, d, iters = 10, seed = 8)
     assert(gk.finalDistortion <= bk.finalDistortion * 1.15,
       s"gk=${gk.finalDistortion} bkm=${bk.finalDistortion}")
@@ -88,7 +108,7 @@ class ClusteringSpec extends SparkSpec {
 
   test("gkMeans evaluates far fewer candidates than BKM at the same k") {
     val g = KnnGraph.bruteForce(vecs, 10)
-    val gk = Clustering.gkMeans(points, n, 100, d, g.ids, 10, iters = 5, seed = 9)
+    val gk = Clustering.gkMeans(points, n, 100, d, vecs, g.ids, 10, iters = 5, seed = 9)
     val bk = Clustering.boost(points, n, 100, d, iters = 5, seed = 9)
     assert(gk.distEvals * 3 < bk.distEvals,
       s"gk=${gk.distEvals} bkm=${bk.distEvals}")
@@ -96,8 +116,8 @@ class ClusteringSpec extends SparkSpec {
 
   test("gkMeans per-iteration cost is independent of k (paper core claim)") {
     val g = KnnGraph.bruteForce(vecs, 8)
-    val a = Clustering.gkMeans(points, n, 50, d, g.ids, 8, iters = 3, seed = 10)
-    val b = Clustering.gkMeans(points, n, 300, d, g.ids, 8, iters = 3, seed = 10)
+    val a = Clustering.gkMeans(points, n, 50, d, vecs, g.ids, 8, iters = 3, seed = 10)
+    val b = Clustering.gkMeans(points, n, 300, d, vecs, g.ids, 8, iters = 3, seed = 10)
     // per-iteration cost is bounded by n*kappa regardless of k (at small k the
     // neighbours collapse into the sample's own cluster, shrinking it further)
     assert(a.distEvals <= n.toLong * 8 * 3)
@@ -108,14 +128,14 @@ class ClusteringSpec extends SparkSpec {
 
   test("gkMeans improves on its 2M-tree initialisation") {
     val g = KnnGraph.bruteForce(vecs, 10)
-    val fit = Clustering.gkMeans(points, n, 60, d, g.ids, 10, iters = 8, seed = 11)
+    val fit = Clustering.gkMeans(points, n, 60, d, vecs, g.ids, 10, iters = 8, seed = 11)
     assert(fit.finalDistortion < fit.distortionByIter.head)
   }
 
   test("gkMeans minus (NearestRule) runs and improves but is weaker than boost variant") {
     val g = KnnGraph.bruteForce(vecs, 10)
-    val gk = Clustering.gkMeans(points, n, 60, d, g.ids, 10, iters = 8, seed = 12)
-    val gkMinus = Clustering.gkMeans(points, n, 60, d, g.ids, 10, iters = 8, seed = 12, rule = Engine.NearestRule)
+    val gk = Clustering.gkMeans(points, n, 60, d, vecs, g.ids, 10, iters = 8, seed = 12)
+    val gkMinus = Clustering.gkMeans(points, n, 60, d, vecs, g.ids, 10, iters = 8, seed = 12, rule = Engine.NearestRule)
     assert(gkMinus.finalDistortion < gkMinus.distortionByIter.head)
     assert(gk.finalDistortion <= gkMinus.finalDistortion * 1.05,
       s"gk=${gk.finalDistortion} gk-=${gkMinus.finalDistortion}")
@@ -132,7 +152,7 @@ class ClusteringSpec extends SparkSpec {
     Seq(
       Clustering.lloyd(points, n, 15, d, 2, 15),
       Clustering.boost(points, n, 15, d, 2, 15),
-      Clustering.gkMeans(points, n, 15, d, g.ids, 6, 2, 15),
+      Clustering.gkMeans(points, n, 15, d, vecs, g.ids, 6, 2, 15),
     ).foreach { fit =>
       assert(fit.labels.forall(l => l >= 0 && l < 15))
       val rebuilt = ClusterState.fromLabels(points, fit.labels, 15, d, Some(fit.state))
@@ -155,12 +175,12 @@ class ClusteringSpec extends SparkSpec {
 
   test("gkMeans rejects a short graph and a neighbour id outside [0, n)") {
     val g = Array.tabulate(n)(i => Array((i + 1) % n, (i + 2) % n))
-    val short = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, g.init, 2, 1, 18))
+    val short = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, vecs, g.init, 2, 1, 18))
     assert(short.getMessage.contains(s"${n - 1} rows"), short.getMessage)
-    val shortRow = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, g.updated(17, Array(0)), 2, 1, 18))
+    val shortRow = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, vecs, g.updated(17, Array(0)), 2, 1, 18))
     assert(shortRow.getMessage.contains("row 17") && shortRow.getMessage.contains("kappa=2"), shortRow.getMessage)
     Seq(-1, n).foreach { bad =>
-      val e = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, g.updated(17, Array(0, bad)), 2, 1, 18))
+      val e = intercept[IllegalArgumentException](Clustering.gkMeans(points, n, 10, d, vecs, g.updated(17, Array(0, bad)), 2, 1, 18))
       assert(e.getMessage.contains("row 17"), e.getMessage)
     }
   }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.Dataset
 import repro.{SparkSpec, TestData}
 import repro.eval.Metrics
 import repro.knn.KnnGraph
@@ -189,6 +190,62 @@ class EngineSpec extends SparkSpec {
     }
   }
 
+  /** BoostRule written out one candidate at a time: per partition, in the
+    * partition's row order, the paper's sequential procedure against a
+    * private copy of the epoch-start state, each dot product a `dotFD` call.
+    */
+  private def boostReference(pts: Dataset[Point], labels: Array[Int], st: ClusterState, gen: CandidateGen): Array[Int] = {
+    val out = labels.clone()
+    pts.rdd.mapPartitions(it => Iterator.single(it.map(_.id.toInt).toArray)).collect().foreach { ids =>
+      val cnt = st.cnt.clone(); val norm = st.compNormSq.clone(); val comp = st.comp.map(_.clone())
+      val buf = new Array[Int](gen.maxCandidates)
+      ids.foreach { i =>
+        val x = vecs(i); val xx = VecOps.normSqF(x); val u = labels(i)
+        val cands = buf.take(gen.fill(Point(i.toLong, x), labels, buf)).distinct.filter(_ != u)
+        val dotU = VecOps.dotFD(x, comp(u))
+        val gU = BoostMath.removalGain(norm(u), cnt(u), dotU, xx)
+        var best = -1; var bestGain = 0.0; var bestDotV = 0.0
+        cands.foreach { v =>
+          val dotV = VecOps.dotFD(x, comp(v))
+          val gain = BoostMath.insertionGain(norm(v), cnt(v), dotV, xx) + gU
+          if (gain > bestGain) { bestGain = gain; best = v; bestDotV = dotV }
+        }
+        if (best >= 0 && bestGain > 1e-9 * (xx + 1.0)) {
+          norm(u) = norm(u) - 2.0 * dotU + xx
+          VecOps.subFrom(comp(u), x)
+          cnt(u) -= 1
+          if (cnt(u) == 0) norm(u) = 0.0
+          if (cnt(best) == 0) { VecOps.setFrom(comp(best), x); norm(best) = xx }
+          else { norm(best) = norm(best) + 2.0 * bestDotV + xx; VecOps.addTo(comp(best), x) }
+          cnt(best) += 1
+          out(i) = best
+        }
+      }
+    }
+    out
+  }
+
+  test("BoostRule with 0 to 3 distinct candidates per point equals the one-at-a-time reference") {
+    val k = 9
+    val labels = TestData.randomLabels(n, k, 14)
+    val three = points.repartition(3).cache()
+    three.count()
+    try {
+      Seq(points, three).foreach { pts =>
+        val st = ClusterState.fromLabels(pts, labels, k, d)
+        val gen = new CountingGen(k)
+        val r = Engine.epoch(pts, labels, st, gen, Engine.BoostRule)
+        val want = boostReference(pts, labels, st, gen)
+        assert(r.moved > 0)
+        assert(r.distEvals == (0 until n).map(_ % 4).sum.toLong)
+        assert(r.labels sameElements want)
+        val rebuilt = ClusterState.fromLabels(pts, want, k, d, Some(st))
+        assert(r.state.cnt sameElements rebuilt.cnt)
+        (0 until k).foreach(c => assert(r.state.comp(c) sameElements rebuilt.comp(c), s"cluster $c"))
+      }
+    } finally three.unpersist()
+  }
+
   test("AllClustersGen fills 0..k-1") {
     val gen = new AllClustersGen(5)
     val buf = new Array[Int](5)
@@ -207,6 +264,20 @@ class EngineSpec extends SparkSpec {
       assert(m == 2 && buf.toSeq == Seq(6, 7))
     } finally bc.destroy()
   }
+}
+
+/** For point i in cluster u, emits u, then `i % 4` distinct other clusters,
+  * so a point has 0, 1, 2 or 3 candidates to score.
+  */
+private final class CountingGen(k: Int) extends CandidateGen {
+  override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int = {
+    val i = p.id.toInt
+    val u = labels(i)
+    buf(0) = u
+    (0 until i % 4).foreach(j => buf(1 + j) = (u + 1 + (i + j) % (k - 1)) % k)
+    1 + i % 4
+  }
+  override def maxCandidates: Int = 4
 }
 
 /** For a point in cluster u, emits u, 3, 3, 1, u, 1, 2 — or, `deduped`, the

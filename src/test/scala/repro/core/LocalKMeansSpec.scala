@@ -20,22 +20,31 @@ class LocalKMeansSpec extends AnyFunSuite {
     (vecs, gt)
   }
 
+  /** `TwoMeansTree`'s bisection of the points at `idx`, as (left ids, right
+    * ids): a tree buffer of those rows, bisected as one node.
+    */
+  private def bisectEqual(vecs: Array[Array[Float]], idx: Array[Int], rng: Random): (Array[Int], Array[Int]) = {
+    val rows = new TwoMeansTree.Rows(vecs, idx)
+    val mid = rows.bisectEqual(0, idx.length, rng)
+    (rows.ids.take(mid), rows.ids.drop(mid))
+  }
+
   test("bisectEqual splits an even set into equal halves") {
     val (vecs, _) = mixture(100, 4, 2, 1)
-    val (l, r) = TwoMeansTree.bisectEqual(vecs, Array.range(0, 100), new Random(1))
+    val (l, r) = bisectEqual(vecs, Array.range(0, 100), new Random(1))
     assert(l.length == 50 && r.length == 50)
   }
 
   test("bisectEqual on odd sizes differs by exactly one") {
     val (vecs, _) = mixture(101, 4, 2, 2)
-    val (l, r) = TwoMeansTree.bisectEqual(vecs, Array.range(0, 101), new Random(1))
+    val (l, r) = bisectEqual(vecs, Array.range(0, 101), new Random(1))
     assert(math.abs(l.length - r.length) == 1)
   }
 
   test("bisectEqual partitions the input exactly") {
     val (vecs, _) = mixture(60, 3, 3, 3)
     val idx = Array.range(0, 60)
-    val (l, r) = TwoMeansTree.bisectEqual(vecs, idx, new Random(2))
+    val (l, r) = bisectEqual(vecs, idx, new Random(2))
     assert((l ++ r).sorted sameElements idx)
   }
 
@@ -45,7 +54,7 @@ class LocalKMeansSpec extends AnyFunSuite {
       val base = if (i < 40) 0f else 100f
       Array.tabulate(4)(_ => base + rng.nextGaussian().toFloat)
     }
-    val (l, r) = TwoMeansTree.bisectEqual(vecs, Array.range(0, 80), new Random(5))
+    val (l, r) = bisectEqual(vecs, Array.range(0, 80), new Random(5))
     val lSet = l.toSet
     // one side should be exactly one blob
     assert(lSet == (0 until 40).toSet || lSet == (40 until 80).toSet)
@@ -53,7 +62,7 @@ class LocalKMeansSpec extends AnyFunSuite {
 
   test("bisectEqual refuses singleton input") {
     val (vecs, _) = mixture(5, 2, 1, 5)
-    assertThrows[IllegalArgumentException](TwoMeansTree.bisectEqual(vecs, Array(1), new Random(1)))
+    assertThrows[IllegalArgumentException](bisectEqual(vecs, Array(1), new Random(1)))
   }
 
   for (leaves <- Seq(1, 2, 3, 7, 16, 50)) {

@@ -106,6 +106,34 @@ class VecOpsSpec extends AnyFunSuite {
     assert(VecOps.centroidOf(Array(10.0, 20.0), 4) sameElements Array(2.5, 5.0))
   }
 
+  // Values spread over six orders of magnitude, so that adding in another
+  // order than the single kernels' would change the low bits.
+  private def spread(rng: scala.util.Random, d: Int): Array[Float] =
+    Array.fill(d)((rng.nextGaussian() * math.pow(10, rng.nextInt(6) - 2)).toFloat)
+
+  for (d <- Seq(1, 2, 3, 64, 127)) {
+    test(s"paired kernels equal their single kernels exactly (d=$d)") {
+      val rng = new scala.util.Random(d)
+      (0 until 50).foreach { _ =>
+        val a = spread(rng, d)
+        val c1 = spread(rng, d).map(_.toDouble); val c2 = if (rng.nextInt(5) == 0) c1 else spread(rng, d).map(_.toDouble)
+        // a sits, widened to double, inside a longer buffer, between other rows
+        val buf = (spread(rng, d) ++ a ++ spread(rng, d)).map(_.toDouble)
+        val diff = VecOps.sqDistDiffDD(buf, d, c1, c2)
+        assert(diff == VecOps.sqDistFD(a, c1) - VecOps.sqDistFD(a, c2))
+        assert((diff <= 0.0) == (VecOps.sqDistFD(a, c1) <= VecOps.sqDistFD(a, c2)))
+        val dots = Array.fill(4)(Double.NaN)
+        VecOps.dotFD2(a, c1, c2, dots, 1)
+        assert(dots(1) == VecOps.dotFD(a, c1) && dots(2) == VecOps.dotFD(a, c2))
+        assert(dots(0).isNaN && dots(3).isNaN)
+        val row = c1.clone(); val whole = c1.clone()
+        VecOps.addRowTo(row, buf, d)
+        VecOps.addTo(whole, a)
+        assert(row sameElements whole)
+      }
+    }
+  }
+
   test("centroidOf does not mutate its input") {
     val comp = Array(10.0, 20.0)
     VecOps.centroidOf(comp, 2)

@@ -22,6 +22,28 @@ class GraphBuilderSpec extends SparkSpec {
     assert(probe.trueDists.forall(_ < Double.MaxValue))
   }
 
+  test("probe sample rejects probes = 0, naming probes") {
+    val e = intercept[IllegalArgumentException](Probe.sample(points, n, 0, seed = 1))
+    assert(e.getMessage.contains("probes=0"), e.getMessage)
+  }
+
+  test("build rejects tau = 0, naming tau") {
+    val e = intercept[IllegalArgumentException](GraphBuilder.build(points, n, d, kappa = 6, xi = 30, tau = 0, seed = 1))
+    assert(e.getMessage.contains("tau=0"), e.getMessage)
+  }
+
+  test("build keeps the id-ordered vectors and one record per round") {
+    val res = GraphBuilder.build(points, n, d, kappa = 6, xi = 30, tau = 3, seed = 12)
+    assert(res.vecs.length == n)
+    (0 until n).foreach(i => assert(res.vecs(i) sameElements TestData.smallVecs(i), s"vector $i"))
+    assert(res.rounds.length == 3)
+    res.rounds.foreach { r =>
+      assert(Seq(r.treeMs, r.stateMs, r.epochMs, r.joinMs, r.mergeMs).forall(_ >= 0), s"$r")
+      // k0 = n / xi = 100 groups of n points: the largest holds at least the mean
+      assert(r.maxGroup >= n / 100 && r.medianGroup >= 1 && r.medianGroup <= r.maxGroup, s"$r")
+    }
+  }
+
   test("recall rises well above the random baseline after a few rounds") {
     val res = GraphBuilder.build(points, n, d, kappa = 10, xi = 30, tau = 5, seed = 2, probe = Some(probe))
     assert(res.roundRecalls.length == 5)
@@ -76,7 +98,7 @@ class GraphBuilderSpec extends SparkSpec {
     val vecs = TestData.smallVecs
     val graph = KnnGraph.random(n, kappa, seed)
     (0 until tau).foreach { t =>
-      val labels = Clustering.gkMeans(ds, n, n / xi, d, graph.ids, kappa, iters = 1, seed ^ (1000003L * (t + 1))).labels
+      val labels = Clustering.gkMeans(ds, n, n / xi, d, vecs, graph.ids, kappa, iters = 1, seed ^ (1000003L * (t + 1))).labels
       (0 until n).groupBy(labels(_)).values.foreach { m =>
         val ids = m.sorted.toArray
         LocalKMeans.inClusterTopK(ids.map(_.toLong), ids.map(vecs(_)), kappa).foreach { ch =>

@@ -31,6 +31,27 @@ class KnnGraphSpec extends AnyFunSuite {
     assert(g.dists.flatten.forall(_ == Double.MaxValue))
   }
 
+  test("random graph draws the rows of a per-row HashSet rejection loop") {
+    // the draw as written before the reused BitSet: same RNG calls, same rows
+    def hashSetDraw(n: Int, kappa: Int, seed: Long): Array[Array[Int]] = {
+      val rng = new Random(seed)
+      Array.tabulate(n) { i =>
+        val seen = new java.util.HashSet[Int]()
+        Array.fill(kappa) {
+          var c = rng.nextInt(n)
+          while (c == i || seen.contains(c)) c = rng.nextInt(n)
+          seen.add(c)
+          c
+        }
+      }
+    }
+    Seq((2, 1, 1L), (10, 9, 2L), (50, 8, 3L), (300, 20, 4L)).foreach { case (n, kappa, seed) =>
+      val want = hashSetDraw(n, kappa, seed)
+      val got = KnnGraph.random(n, kappa, seed).ids
+      (0 until n).foreach(i => assert(got(i) sameElements want(i), s"n=$n kappa=$kappa row $i"))
+    }
+  }
+
   test("random graph requires kappa < n") {
     assertThrows[IllegalArgumentException](KnnGraph.random(5, 5, 1))
   }
