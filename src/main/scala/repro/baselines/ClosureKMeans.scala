@@ -44,6 +44,7 @@ object ClosureKMeans {
     val projs =
       try {
         points.rdd.map { p =>
+          Points.requireShape(p, n, d)
           val ds = bcDirs.value.map(dir => VecOps.dotFD(p.vec, dir))
           (p.id, ds)
         }.collect()

@@ -32,11 +32,18 @@ final class ClusterState(
 
   /** Squared distance from x to centroid(r), using cached ‖Dᵣ‖². */
   def sqDistToCentroid(x: Array[Float], xx: Double, r: Int): Double =
+    sqDistFromDot(xx, r, VecOps.dotFD(x, comp(r)))
+
+  /** Squared distance from x to centroid(r) given ‖x‖² = xx and
+    * `dot = dotFD(x, comp(r))`: the one distance formula, for a non-empty
+    * cluster and for an empty one's fallback centroid.
+    */
+  def sqDistFromDot(xx: Double, r: Int, dot: Double): Double =
     if (cnt(r) > 0) {
       val n = cnt(r).toDouble
-      xx - 2.0 * VecOps.dotFD(x, comp(r)) / n + compNormSq(r) / (n * n)
+      xx - 2.0 * dot / n + compNormSq(r) / (n * n)
     } else {
-      xx - 2.0 * VecOps.dotFD(x, comp(r)) + compNormSq(r)
+      xx - 2.0 * dot + compNormSq(r)
     }
 
   /** Σᵣ ‖Dᵣ‖²/nᵣ over non-empty clusters — the boost-k-means objective I. */
@@ -54,7 +61,9 @@ object ClusterState {
 
   /** Exact distributed recompute of `(Dᵣ, nᵣ)` from a label assignment.
     * Clusters that end up empty inherit `prev`'s centroid as their fallback
-    * (or zero if there is no previous state).
+    * (or zero if there is no previous state). Fails, naming the point, on a
+    * vector that does not have d values or an id with no label, and fails
+    * if the points are fewer than the labels.
     */
   def fromLabels(
       points: Dataset[Point],
@@ -70,11 +79,15 @@ object ClusterState {
           .mapPartitions { it =>
             val lab = bcL.value
             val acc = new PartialSums(k, d)
-            it.foreach(p => acc.add(lab(p.id.toInt), p.vec))
+            it.foreach { p =>
+              Points.requireShape(p, lab.length, d)
+              acc.add(lab(p.id.toInt), p.vec)
+            }
             Iterator.single(acc)
           }
           .collect()
       } finally bcL.destroy()
+    Points.requireAllSeen(parts.map(_.cnt.sum).sum, labels.length)
     fromSums(parts, k, d, prev)
   }
 

@@ -21,7 +21,9 @@ import org.apache.spark.sql.Dataset
   *
   * Either rule scores each distinct candidate cluster other than the
   * point's own exactly once, in the order the generator first emits it;
-  * `distEvals` counts those scorings.
+  * `distEvals` counts those scorings. Both take the point's dot products
+  * with the own and candidate composites four rows at a time
+  * (`VecOps.dotFD4`), each bit-identical to a `dotFD` call.
   *
   * The new state is a re-sum, not a delta: each point is added to the
   * partition's [[PartialSums]] under its final label, in the order
@@ -44,10 +46,8 @@ object Engine {
   private final class LocalState(base: ClusterState) {
     val cnt: Array[Long] = base.cnt.clone()
     val norm: Array[Double] = base.compNormSq.clone()
-    private val comp: Array[Array[Double]] = base.comp.clone() // shallow row refs
+    val comp: Array[Array[Double]] = base.comp.clone() // shallow row refs
     private val owned = new java.util.BitSet(base.k)
-
-    def compRow(r: Int): Array[Double] = comp(r)
 
     private def own(r: Int): Array[Double] = {
       if (!owned.get(r)) { comp(r) = comp(r).clone(); owned.set(r) }
@@ -79,6 +79,8 @@ object Engine {
     * `labels` (a seed state from `ClusterState.fromCentroids`) never comes
     * back. With `recomputeState = false` (for callers that read only the
     * labels, or recompute state themselves) it returns `state` itself.
+    * Like `fromLabels`, it fails on a vector whose length is not `state.d`
+    * and on points that do not number one per label.
     */
   def epoch(
       points: Dataset[Point],
@@ -120,26 +122,33 @@ object Engine {
               m
             }
             val ls = if (rule == BoostRule) new LocalState(st) else null
-            // BoostRule's dot products for one point: dots(0) = Dᵤ·x and
-            // dots(1 + j) = D_buf(j)·x, taken two at a time by `dotFD2`.
-            val dots = if (rule == BoostRule) new Array[Double](cand.maxCandidates + 1) else null
-            def boostDots(x: Array[Float], u: Int, m: Int): Unit = {
-              def row(i: Int): Array[Double] = ls.compRow(if (i == 0) u else buf(i - 1))
+            // Both rules' dot products for one point: dots(0) = Dᵤ·x and
+            // dots(1 + j) = D_buf(j)·x, four rows at a time by `dotFD4`, the
+            // rest by `dotFD2` and `dotFD`. BoostRule reads its local view's
+            // rows, NearestRule the epoch-start state's.
+            val comp = if (ls != null) ls.comp else st.comp
+            val dots = new Array[Double](cand.maxCandidates + 1)
+            def fillDots(x: Array[Float], u: Int, m: Int): Unit = {
+              def row(i: Int): Array[Double] = comp(if (i == 0) u else buf(i - 1))
               var i = 0
-              while (i < m) { VecOps.dotFD2(x, row(i), row(i + 1), dots, i); i += 2 }
+              while (i + 3 <= m) { VecOps.dotFD4(x, row(i), row(i + 1), row(i + 2), row(i + 3), dots, i); i += 4 }
+              if (i + 1 <= m) { VecOps.dotFD2(x, row(i), row(i + 1), dots, i); i += 2 }
               if (i == m) dots(m) = VecOps.dotFD(x, row(m))
             }
             val sums = if (recomputeState) new PartialSums(st.k, st.d) else null
+            var seen = 0L
             it.foreach { p =>
+              Points.requireShape(p, lab.length, st.d)
+              seen += 1
               val u = lab(p.id.toInt)
               val x = p.vec
               val xx = VecOps.normSqF(x)
               val m = candidates(p, u)
+              fillDots(x, u, m)
               val to = rule match {
                 case BoostRule =>
                   // Removal gain g(u) under the local (within-partition) state.
                   // nu >= 1 always: x itself is still a member of Sᵤ here.
-                  boostDots(x, u, m)
                   val dotU = dots(0)
                   val gU = BoostMath.removalGain(ls.norm(u), ls.cnt(u), dotU, xx)
                   var best = -1
@@ -158,11 +167,11 @@ object Engine {
                   else u
                 case NearestRule =>
                   var best = u
-                  var bestD = st.sqDistToCentroid(x, xx, u)
+                  var bestD = st.sqDistFromDot(xx, u, dots(0))
                   var j = 0
                   while (j < m) {
                     val v = buf(j)
-                    val dd = st.sqDistToCentroid(x, xx, v)
+                    val dd = st.sqDistFromDot(xx, v, dots(j + 1))
                     if (dd < bestD) { bestD = dd; best = v }
                     j += 1
                   }
@@ -171,11 +180,12 @@ object Engine {
               if (to != u) { movedIds += p.id; movedTo += to }
               if (sums != null) sums.add(to, x)
             }
-            Iterator.single(MoveChunk(movedIds.result(), movedTo.result(), evals, sums))
+            Iterator.single(MoveChunk(movedIds.result(), movedTo.result(), evals, seen, sums))
           }
           .collect()
       } finally { bcL.destroy(); bcS.destroy() }
 
+    Points.requireAllSeen(chunks.map(_.seen).sum, labels.length)
     val newLabels = labels.clone()
     var moved = 0L
     var evals = 0L

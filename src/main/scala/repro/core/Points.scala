@@ -11,10 +11,10 @@ import org.apache.spark.sql.{DataFrame, Dataset}
 final case class Point(id: Long, vec: Array[Float])
 
 /** Per-partition chunk of accepted moves emitted by one `Engine.epoch` pass,
-  * plus the partition's per-cluster sums under the new labels (null when the
-  * epoch does not recompute its state).
+  * with the number of points the partition held, plus its per-cluster sums
+  * under the new labels (null when the epoch does not recompute its state).
   */
-private[core] final case class MoveChunk(ids: Array[Long], target: Array[Int], evals: Long, sums: PartialSums)
+private[core] final case class MoveChunk(ids: Array[Long], target: Array[Int], evals: Long, seen: Long, sums: PartialSums)
 
 /** One point's candidate-neighbour list produced by in-cluster refinement. */
 final case class NbrChunk(id: Long, nbrs: Array[Int], dists: Array[Double])
@@ -103,12 +103,31 @@ object Points {
     })
   }
 
-  /** Fetch the vectors for the given ids, as an id-keyed map. */
+  /** Fails, naming the point, unless its id is in `[0, n)` and its vector has
+    * d values: the per-point check of the passes that index an n-array by id
+    * and read d values, where a wrong n or d would otherwise be an index
+    * error or a silently truncated sum.
+    */
+  private[repro] def requireShape(p: Point, n: Int, d: Int): Unit = {
+    if (p.id < 0 || p.id >= n) throw new IllegalArgumentException(s"point ${p.id} is outside [0, n=$n)")
+    if (p.vec.length != d) throw new IllegalArgumentException(s"point ${p.id} has ${p.vec.length} values, expected d=$d")
+  }
+
+  /** Fails unless a pass saw one point per label. */
+  private[repro] def requireAllSeen(seen: Long, n: Int): Unit =
+    require(seen == n, s"the pass saw $seen points, but there are n=$n labels")
+
+  /** Fetch the vectors for the given ids, as an id-keyed map; fails on an id
+    * that no point has.
+    */
   def fetchVecs(points: Dataset[Point], ids: Seq[Long]): Map[Long, Array[Float]] = {
     val want = ids.toSet
     val bc = points.sparkSession.sparkContext.broadcast(want)
-    try points.rdd.filter(p => bc.value.contains(p.id)).map(p => p.id -> p.vec).collect().toMap
-    finally bc.destroy()
+    val got =
+      try points.rdd.filter(p => bc.value.contains(p.id)).map(p => p.id -> p.vec).collect().toMap
+      finally bc.destroy()
+    ids.foreach(id => require(got.contains(id), s"no point has id $id"))
+    got
   }
 
   /** Collect all vectors ordered by id — used where the model (not the data)

@@ -103,6 +103,13 @@ class BaselinesSpec extends SparkSpec {
     assert(e.getMessage.contains("iters=-1"), e.getMessage)
   }
 
+  test("closure k-means with a wrong d fails, naming a point and both lengths") {
+    Seq(d / 2, 2 * d).foreach { bad =>
+      val e = intercept[org.apache.spark.SparkException](ClosureKMeans.fit(points, n, 10, bad, iters = 1, seed = 1))
+      assert(e.getMessage.matches(s"(?s).*point \\d+ has $d values, expected d=$bad.*"), e.getMessage)
+    }
+  }
+
   test("closure k-means labels are valid") {
     val fit = ClosureKMeans.fit(points, n, 25, d, iters = 4, seed = 9)
     assert(fit.labels.forall(l => l >= 0 && l < 25))

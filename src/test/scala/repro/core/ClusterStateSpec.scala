@@ -101,6 +101,14 @@ class ClusterStateSpec extends SparkSpec {
     assert(st.centroid(1) sameElements Array(3.0, 4.0))
   }
 
+  test("fromLabels with a wrong d fails, naming a point and both lengths") {
+    val labels = TestData.randomLabels(n, 5, 13)
+    Seq(d / 2, 2 * d).foreach { bad =>
+      val e = intercept[org.apache.spark.SparkException](ClusterState.fromLabels(points, labels, 5, bad))
+      assert(e.getMessage.matches(s"(?s).*point \\d+ has $d values, expected d=$bad.*"), e.getMessage)
+    }
+  }
+
   test("sqDistToCentroid against an empty cluster uses the fallback centroid") {
     val st = ClusterState.fromCentroids(Array(Array(0.0, 0.0)))
     val dd = st.sqDistToCentroid(Array(3f, 4f), 25.0, 0)

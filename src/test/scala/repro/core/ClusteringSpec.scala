@@ -65,6 +65,16 @@ class ClusteringSpec extends SparkSpec {
     }
   }
 
+  test("lloyd with n - 1 fails in its first epoch, naming the point with no label") {
+    val e = intercept[org.apache.spark.SparkException](Clustering.lloyd(points, n - 1, 10, d, iters = 1, seed = 1))
+    assert(e.getMessage.contains(s"point ${n - 1} is outside [0, n=${n - 1})"), e.getMessage)
+  }
+
+  test("lloyd with n + 1 fails rather than dividing E by n + 1") {
+    val e = intercept[IllegalArgumentException](Clustering.lloyd(points, n + 1, 10, d, iters = 1, seed = 1))
+    assert(e.getMessage.contains(s"saw $n points, but there are n=${n + 1} labels"), e.getMessage)
+  }
+
   test("randomSeedState holds k fallback centroids from the data") {
     val st = Clustering.randomSeedState(points, n, 12, d, 3)
     assert(st.k == 12 && st.cnt.forall(_ == 0))

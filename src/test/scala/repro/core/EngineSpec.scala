@@ -225,25 +225,60 @@ class EngineSpec extends SparkSpec {
     out
   }
 
-  test("BoostRule with 0 to 3 distinct candidates per point equals the one-at-a-time reference") {
-    val k = 9
-    val labels = TestData.randomLabels(n, k, 14)
+  /** NearestRule written out one candidate at a time: every point against
+    * the epoch-start state, each distance a `sqDistToCentroid` call.
+    */
+  private def nearestReference(labels: Array[Int], st: ClusterState, gen: CandidateGen): Array[Int] = {
+    val buf = new Array[Int](gen.maxCandidates)
+    labels.indices.map { i =>
+      val x = vecs(i); val xx = VecOps.normSqF(x); val u = labels(i)
+      var best = u; var bestD = st.sqDistToCentroid(x, xx, u)
+      buf.take(gen.fill(Point(i.toLong, x), labels, buf)).distinct.filter(_ != u).foreach { v =>
+        val dd = st.sqDistToCentroid(x, xx, v)
+        if (dd < bestD) { bestD = dd; best = v }
+      }
+      best
+    }.toArray
+  }
+
+  /** Runs `rule` with 0 to 9 distinct candidates per point, so every
+    * remainder of the four-wide dot blocks occurs, on 1 and 3 partitions, and
+    * checks labels, evals and state bit for bit against `reference`.
+    */
+  private def checkAgainstReference(
+      rule: Engine.Rule, labels: Array[Int], prev: Option[ClusterState],
+  )(reference: (Dataset[Point], ClusterState, CandidateGen) => Array[Int]): Unit = {
+    val k = 11
     val three = points.repartition(3).cache()
     three.count()
     try {
       Seq(points, three).foreach { pts =>
-        val st = ClusterState.fromLabels(pts, labels, k, d)
+        val st = ClusterState.fromLabels(pts, labels, k, d, prev)
         val gen = new CountingGen(k)
-        val r = Engine.epoch(pts, labels, st, gen, Engine.BoostRule)
-        val want = boostReference(pts, labels, st, gen)
+        val r = Engine.epoch(pts, labels, st, gen, rule)
+        val want = reference(pts, st, gen)
         assert(r.moved > 0)
-        assert(r.distEvals == (0 until n).map(_ % 4).sum.toLong)
+        assert(r.distEvals == (0 until n).map(_ % 10).sum.toLong)
         assert(r.labels sameElements want)
         val rebuilt = ClusterState.fromLabels(pts, want, k, d, Some(st))
         assert(r.state.cnt sameElements rebuilt.cnt)
         (0 until k).foreach(c => assert(r.state.comp(c) sameElements rebuilt.comp(c), s"cluster $c"))
       }
     } finally three.unpersist()
+  }
+
+  test("BoostRule with 0 to 9 distinct candidates per point equals the one-at-a-time reference") {
+    val labels = TestData.randomLabels(n, 11, 14)
+    checkAgainstReference(Engine.BoostRule, labels, None)((pts, st, gen) => boostReference(pts, labels, st, gen))
+  }
+
+  test("NearestRule with 0 to 9 distinct candidates per point equals the one-at-a-time reference") {
+    // Cluster 10 starts empty with its seeded centroid as fallback, so the
+    // empty branch of the distance formula runs too.
+    val seeded = TestData.randomLabels(n, 11, 15)
+    val labels = seeded.map(l => if (l == 10) 0 else l)
+    val prev = ClusterState.fromLabels(points, seeded, 11, d)
+    checkAgainstReference(Engine.NearestRule, labels, Some(prev))((_, st, gen) => nearestReference(labels, st, gen))
   }
 
   test("AllClustersGen fills 0..k-1") {
@@ -266,18 +301,18 @@ class EngineSpec extends SparkSpec {
   }
 }
 
-/** For point i in cluster u, emits u, then `i % 4` distinct other clusters,
-  * so a point has 0, 1, 2 or 3 candidates to score.
+/** For point i in cluster u, emits u, then `i % 10` distinct other clusters,
+  * so a point has 0 to 9 candidates to score; needs k > 9.
   */
 private final class CountingGen(k: Int) extends CandidateGen {
   override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int = {
     val i = p.id.toInt
     val u = labels(i)
     buf(0) = u
-    (0 until i % 4).foreach(j => buf(1 + j) = (u + 1 + (i + j) % (k - 1)) % k)
-    1 + i % 4
+    (0 until i % 10).foreach(j => buf(1 + j) = (u + 1 + (i + j) % (k - 1)) % k)
+    1 + i % 10
   }
-  override def maxCandidates: Int = 4
+  override def maxCandidates: Int = 10
 }
 
 /** For a point in cluster u, emits u, 3, 3, 1, u, 1, 2 — or, `deduped`, the

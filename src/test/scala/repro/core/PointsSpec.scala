@@ -48,6 +48,11 @@ class PointsSpec extends SparkSpec {
     }
   }
 
+  test("fetchVecs fails on an id no point has, naming it") {
+    val e = intercept[IllegalArgumentException](Points.fetchVecs(TestData.tiny, Seq(3L, 600L)))
+    assert(e.getMessage.contains("no point has id 600"), e.getMessage)
+  }
+
   test("passes after cached read the cache, not the source") {
     val sp = spark
     import sp.implicits._
