@@ -9,9 +9,10 @@ import repro.eval.Metrics
   *
   * Per batch: sample `batchSize` points, assign each to its nearest centre,
   * then apply the per-centre learning-rate update `c ← (1−η)c + ηx` with
-  * `η = 1/v[c]`. The batch is sampled distributed and collected (batches are
-  * tiny by design); the final full assignment that produces labels/state for
-  * evaluation runs as a normal distributed epoch.
+  * `η = 1/v[c]`. The vectors are collected once, and each batch is
+  * `batchSize` ids drawn on the driver, so the batches do not depend on how
+  * the points are partitioned; the final full assignment that produces
+  * labels/state for evaluation runs as a normal distributed epoch.
   */
 object MiniBatchKMeans {
 
@@ -32,6 +33,7 @@ object MiniBatchKMeans {
     // The seed state's fallback centroids, updated in place batch by batch.
     val cents = Clustering.randomSeedState(points, n, k, d, seed).comp
     val counts = new Array[Long](k)
+    val vecs = Points.collectVecs(points, n, d)
     val initMs = (System.nanoTime() - t0) / 1000000
 
     val sumSq = Metrics.sumSqNorm(points)
@@ -43,16 +45,15 @@ object MiniBatchKMeans {
       Engine.epoch(points, new Array[Int](n), ClusterState.fromCentroids(cents), new AllClustersGen(k), Engine.NearestRule)
 
     val t1 = System.nanoTime()
-    val fraction = math.min(1.0, batchSize.toDouble / n)
     var b = 0
     var evals = 0L
     while (b < batches) {
-      val batch = points.sample(withReplacement = false, fraction, seed + b).collect()
-      batch.foreach { p =>
+      Clustering.sampleIds(n, math.min(batchSize, n), seed + b).foreach { id =>
+        val x = vecs(id.toInt)
         var best = 0; var bestD = Double.MaxValue
         var c = 0
         while (c < k) {
-          val dd = VecOps.sqDistFD(p.vec, cents(c))
+          val dd = VecOps.sqDistFD(x, cents(c))
           if (dd < bestD) { bestD = dd; best = c }
           c += 1
         }
@@ -60,7 +61,7 @@ object MiniBatchKMeans {
         counts(best) += 1
         val eta = 1.0 / counts(best)
         var i = 0
-        while (i < d) { cents(best)(i) = (1.0 - eta) * cents(best)(i) + eta * p.vec(i); i += 1 }
+        while (i < d) { cents(best)(i) = (1.0 - eta) * cents(best)(i) + eta * x(i); i += 1 }
       }
       b += 1
       if (evalEvery > 0 && b % evalEvery == 0 && b < batches) {

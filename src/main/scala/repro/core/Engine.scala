@@ -22,8 +22,8 @@ import org.apache.spark.sql.Dataset
   * Either rule scores each distinct candidate cluster other than the
   * point's own exactly once, in the order the generator first emits it;
   * `distEvals` counts those scorings. Both take the point's dot products
-  * with the own and candidate composites four rows at a time
-  * (`VecOps.dotFD4`), each bit-identical to a `dotFD` call.
+  * with the own and candidate composites two rows at a time
+  * (`VecOps.dotFD2`), each bit-identical to a `dotFD` call.
   *
   * The new state is a re-sum, not a delta: each point is added to the
   * partition's [[PartialSums]] under its final label, in the order
@@ -123,16 +123,15 @@ object Engine {
             }
             val ls = if (rule == BoostRule) new LocalState(st) else null
             // Both rules' dot products for one point: dots(0) = Dᵤ·x and
-            // dots(1 + j) = D_buf(j)·x, four rows at a time by `dotFD4`, the
-            // rest by `dotFD2` and `dotFD`. BoostRule reads its local view's
+            // dots(1 + j) = D_buf(j)·x, two rows at a time by `dotFD2`, an
+            // odd last row by `dotFD`. BoostRule reads its local view's
             // rows, NearestRule the epoch-start state's.
             val comp = if (ls != null) ls.comp else st.comp
             val dots = new Array[Double](cand.maxCandidates + 1)
             def fillDots(x: Array[Float], u: Int, m: Int): Unit = {
               def row(i: Int): Array[Double] = comp(if (i == 0) u else buf(i - 1))
               var i = 0
-              while (i + 3 <= m) { VecOps.dotFD4(x, row(i), row(i + 1), row(i + 2), row(i + 3), dots, i); i += 4 }
-              if (i + 1 <= m) { VecOps.dotFD2(x, row(i), row(i + 1), dots, i); i += 2 }
+              while (i < m) { VecOps.dotFD2(x, row(i), row(i + 1), dots, i); i += 2 }
               if (i == m) dots(m) = VecOps.dotFD(x, row(m))
             }
             val sums = if (recomputeState) new PartialSums(st.k, st.d) else null

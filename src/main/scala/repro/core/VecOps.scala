@@ -62,23 +62,6 @@ object VecOps {
     out(at) = s1; out(at + 1) = s2
   }
 
-  /** `out(at + j) = dotFD(a, c(j))` for the four rows c1..c4, summed in one
-    * loop, each in `dotFD`'s order, so all four are bit-identical to it
-    * while each sum's additions overlap the other three's.
-    */
-  def dotFD4(
-      a: Array[Float], c1: Array[Double], c2: Array[Double], c3: Array[Double], c4: Array[Double],
-      out: Array[Double], at: Int,
-  ): Unit = {
-    var s1 = 0.0; var s2 = 0.0; var s3 = 0.0; var s4 = 0.0; var i = 0
-    while (i < a.length) {
-      val x = a(i)
-      s1 += x * c1(i); s2 += x * c2(i); s3 += x * c3(i); s4 += x * c4(i)
-      i += 1
-    }
-    out(at) = s1; out(at + 1) = s2; out(at + 2) = s3; out(at + 3) = s4
-  }
-
   /** Dot product of two float vectors. */
   def dotFF(a: Array[Float], b: Array[Float]): Double = {
     var s = 0.0; var i = 0

@@ -44,6 +44,19 @@ class BaselinesSpec extends SparkSpec {
     assert(fit.distortionByIter.length >= 3)
   }
 
+  test("mini-batch fits the same on 1 and 4 partitions") {
+    val (one, four) = (points.repartition(1).cache(), points.repartition(4).cache())
+    try {
+      val fits = Seq(one, four).map(MiniBatchKMeans.fit(_, n, 20, d, batches = 6, batchSize = 300, seed = 7, evalEvery = 2))
+      assert(fits(0).labels sameElements fits(1).labels)
+      // E sums per-partition partial sums, so only its last bits may differ.
+      assert(fits(0).distortionByIter.length == 3)
+      fits(0).distortionByIter.zip(fits(1).distortionByIter).foreach { case (a, b) =>
+        assert(math.abs(a - b) <= 1e-12 * a, s"$a vs $b")
+      }
+    } finally { one.unpersist(); four.unpersist() }
+  }
+
   test("mini-batch quality trails full k-means at large k (the paper's quality gap)") {
     // the paper's regime: k large relative to what the mini-batches can cover
     val mb = MiniBatchKMeans.fit(points, n, 150, d, batches = 15, batchSize = 200, seed = 4)

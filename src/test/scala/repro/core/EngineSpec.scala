@@ -241,8 +241,8 @@ class EngineSpec extends SparkSpec {
     }.toArray
   }
 
-  /** Runs `rule` with 0 to 9 distinct candidates per point, so every
-    * remainder of the four-wide dot blocks occurs, on 1 and 3 partitions, and
+  /** Runs `rule` with 0 to 9 distinct candidates per point, so the dot
+    * rows end both in a pair and in an odd last row, on 1 and 3 partitions, and
     * checks labels, evals and state bit for bit against `reference`.
     */
   private def checkAgainstReference(

@@ -134,22 +134,6 @@ class VecOpsSpec extends AnyFunSuite {
     }
   }
 
-  for (d <- Seq(1, 2, 3, 64, 127)) {
-    test(s"dotFD4 equals four dotFD calls exactly (d=$d)") {
-      val rng = new scala.util.Random(100 + d)
-      (0 until 50).foreach { _ =>
-        val a = spread(rng, d)
-        val rows = Array.fill(4)(spread(rng, d).map(_.toDouble))
-        // the same composite may be scored twice in a block
-        if (rng.nextInt(4) == 0) rows(rng.nextInt(3) + 1) = rows(0)
-        val dots = Array.fill(6)(Double.NaN)
-        VecOps.dotFD4(a, rows(0), rows(1), rows(2), rows(3), dots, 1)
-        (0 until 4).foreach(j => assert(dots(1 + j) == VecOps.dotFD(a, rows(j)), s"row $j"))
-        assert(dots(0).isNaN && dots(5).isNaN)
-      }
-    }
-  }
-
   test("centroidOf does not mutate its input") {
     val comp = Array(10.0, 20.0)
     VecOps.centroidOf(comp, 2)
