@@ -41,20 +41,28 @@ object ClosureKMeans {
       v.map(_ / norm)
     }
     val bcDirs = points.sparkSession.sparkContext.broadcast(dirs)
-    val projs =
+    // Per partition, its ids and their m projections each, row after row.
+    val blocks =
       try {
-        points.rdd.map { p =>
-          Points.requireShape(p, n, d)
-          val ds = bcDirs.value.map(dir => VecOps.dotFD(p.vec, dir))
-          (p.id, ds)
-        }.collect()
+        Points.pass(points, "baselines.ClosureKMeans.buildBuckets") { it =>
+          val ids = Array.newBuilder[Long]
+          val ps = Array.newBuilder[Double]
+          it.foreach { p =>
+            Points.requireShape(p, n, d)
+            ids += p.id
+            bcDirs.value.foreach(dir => ps += VecOps.dotFD(p.vec, dir))
+          }
+          (ids.result(), ps.result())
+        }
       } finally bcDirs.destroy()
+    val ids = blocks.flatMap(_._1)
+    val projs = blocks.flatMap(_._2)
 
     val memberOf = Array.ofDim[Int](m, n)
     val buckets = new Array[Array[Array[Int]]](m)
     var pr = 0
     while (pr < m) {
-      val order = projs.sortBy(x => (x._2(pr), x._1)).map(_._1.toInt)
+      val order = Array.range(0, ids.length).sortBy(i => (projs(i * m + pr), ids(i))).map(ids(_).toInt)
       val nBuckets = math.max(1, n / bucketSize)
       val bs = Array.fill(nBuckets)(Array.newBuilder[Int])
       var pos = 0

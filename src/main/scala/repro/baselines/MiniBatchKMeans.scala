@@ -11,8 +11,18 @@ import repro.eval.Metrics
   * then apply the per-centre learning-rate update `c ← (1−η)c + ηx` with
   * `η = 1/v[c]`. The vectors are collected once, and each batch is
   * `batchSize` ids drawn on the driver, so the batches do not depend on how
-  * the points are partitioned; the final full assignment that produces
-  * labels/state for evaluation runs as a normal distributed epoch.
+  * the points are partitioned.
+  *
+  * The model is its centres. Every `distortionByIter` entry is the average
+  * distortion (1/n)·Σ‖x − c(x)‖² of the current centres, c(x) being x's
+  * nearest centre: one nearest assignment epoch, then
+  * `Metrics.distortionDirect` against them. The `FitResult` carries the
+  * nearest-centre labels of the final centres and, as `state`, those
+  * centres as a `ClusterState.fromCentroids` (counts 0, each centre its
+  * cluster's fallback centroid), so that
+  * `distortionDirect(points, labels, state)` is the final E. Iter time
+  * counts the batches and the final assignment; the distortion passes are
+  * evaluation and stay out of it.
   */
 object MiniBatchKMeans {
 
@@ -36,13 +46,12 @@ object MiniBatchKMeans {
     val vecs = Points.collectVecs(points, n, d)
     val initMs = (System.nanoTime() - t0) / 1000000
 
-    val sumSq = Metrics.sumSqNorm(points)
     val dist = Vector.newBuilder[Double]
     var evalMs = 0L
 
-    /** Full nearest assignment of every point to the current centres. */
-    def assign(): Engine.EpochResult =
-      Engine.epoch(points, new Array[Int](n), ClusterState.fromCentroids(cents), new AllClustersGen(k), Engine.NearestRule)
+    /** Each point's nearest centre in `model`; the epoch skips the re-sum. */
+    def assign(model: ClusterState): Array[Int] =
+      Engine.epoch(points, new Array[Int](n), model, new AllClustersGen(k), Engine.NearestRule, recomputeState = false).labels
 
     val t1 = System.nanoTime()
     var b = 0
@@ -66,15 +75,16 @@ object MiniBatchKMeans {
       b += 1
       if (evalEvery > 0 && b % evalEvery == 0 && b < batches) {
         val te = System.nanoTime()
-        dist += assign().state.distortion(sumSq, n)
+        val model = ClusterState.fromCentroids(cents)
+        dist += Metrics.distortionDirect(points, assign(model), model)
         evalMs += (System.nanoTime() - te) / 1000000
       }
     }
-    // Final labels/state via one full assignment (evaluation, like the paper
-    // measuring distortion of the mini-batch model on the full set).
-    val fin = assign()
-    dist += fin.state.distortion(sumSq, n)
+    // Final labels by one full assignment, then the E of the final centres.
+    val model = ClusterState.fromCentroids(cents)
+    val labels = assign(model)
     val iterMs = (System.nanoTime() - t1) / 1000000 - evalMs
-    FitResult(fin.labels, fin.state, k, initMs, iterMs, dist.result(), evals, fin.moved)
+    dist += Metrics.distortionDirect(points, labels, model)
+    FitResult(labels, model, k, initMs, iterMs, dist.result(), evals, labels.count(_ != 0).toLong)
   }
 }

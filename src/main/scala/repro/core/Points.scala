@@ -1,6 +1,10 @@
 package repro.core
 
+import org.apache.spark.TaskContext
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset}
+import scala.collection.mutable.ArrayBuilder
+import scala.reflect.ClassTag
 
 /** One data sample: dense id in `[0, n)` plus its feature vector.
   *
@@ -10,23 +14,19 @@ import org.apache.spark.sql.{DataFrame, Dataset}
   */
 final case class Point(id: Long, vec: Array[Float])
 
-/** Per-partition chunk of accepted moves emitted by one `Engine.epoch` pass,
-  * with the number of points the partition held, plus its per-cluster sums
-  * under the new labels (null when the epoch does not recompute its state).
-  */
-private[core] final case class MoveChunk(ids: Array[Long], target: Array[Int], evals: Long, seen: Long, sums: PartialSums)
-
 /** One point's candidate-neighbour list produced by in-cluster refinement. */
 final case class NbrChunk(id: Long, nbrs: Array[Int], dists: Array[Double])
-
-/** One (node, candidate-neighbour, distance) update in NN-Descent. */
-final case class NbrUpdate(node: Int, nbr: Int, dist: Double)
 
 /** What the ingest check found in one partition: its ids, the length of its
   * first vector (-1 if it has none) with that vector's id, and its first
   * fault, or null.
   */
 private final case class IngestChunk(ids: Array[Long], d: Int, firstId: Long, fault: String)
+
+/** One partition's vectors as `collectVecs` ships them: their ids, their
+  * values row after row, and the partition's first fault, or null.
+  */
+private final case class VecBlock(ids: Array[Long], vals: Array[Float], fault: String)
 
 object Points {
 
@@ -46,16 +46,50 @@ object Points {
     * 2³² + 5 would otherwise act as id 5 wherever a pass indexes by
     * `id.toInt`).
     *
-    * Every pass over the points runs on `points.rdd`, which Spark plans once
-    * per Dataset and memoizes. It reads the cache only if it is first asked
-    * for after `cache()`, so the pass here makes that first call.
+    * Every pass over the points runs on `points.rdd` (see [[pass]]), which
+    * Spark plans once per Dataset and memoizes. It reads the cache only if it
+    * is first asked for after `cache()`, so the pass here makes that first
+    * call.
     */
   def cached(df: DataFrame): Dataset[Point] = {
     val ds = fromDF(df).cache()
-    try check(ds.rdd.mapPartitions(it => Iterator.single(ingestChunk(it))).collect())
+    try check(pass(ds, "core.Points.cached")(ingestChunk))
     catch { case e: Throwable => ds.unpersist(); throw e }
     ds
   }
+
+  /** One pass over the points: `f` runs on every partition of `points.rdd`
+    * as one Spark job of one stage, whose final RDD is `points.rdd` itself,
+    * and the results come back in partition order. `layer` names the caller
+    * (`core.Engine.epoch`, …) as the job's description.
+    */
+  private[repro] def pass[T: ClassTag](points: Dataset[Point], layer: String)(f: Iterator[Point] => T): Array[T] =
+    runJob(points.rdd, layer)(f)
+
+  /** `f` on every partition of `rdd` as one `SparkContext.runJob`, described
+    * as `layer` for that job only: the caller's description (a job group's,
+    * say) is restored afterwards.
+    */
+  private[repro] def runJob[A, T: ClassTag](rdd: RDD[A], layer: String)(f: Iterator[A] => T): Array[T] = {
+    val sc = rdd.sparkContext
+    val caller = sc.getLocalProperty(JobDescription)
+    sc.setJobDescription(layer)
+    try sc.runJob(rdd, new PartitionFn(f), rdd.partitions.indices)
+    finally sc.setLocalProperty(JobDescription, caller)
+  }
+
+  /** `f` in a named class, handed to the `runJob` overload that wraps it in
+    * no lambda of Spark's own. Spark's `ClosureCleaner` re-reads the class
+    * file that defines a lambda, with ASM, on every job it is given to; it
+    * leaves a function of a named class alone. `f` is a lambda of main
+    * source, which never captures a REPL line object, so cleaning it would
+    * change nothing.
+    */
+  private final class PartitionFn[A, T](f: Iterator[A] => T) extends ((TaskContext, Iterator[A]) => T) with Serializable {
+    def apply(ctx: TaskContext, it: Iterator[A]): T = f(it)
+  }
+
+  private val JobDescription = "spark.job.description"
 
   /** Null if p is a well-formed point of dimension d, else what is wrong. */
   private def fault(p: Point, d: Int): String = {
@@ -121,10 +155,9 @@ object Points {
     * that no point has.
     */
   def fetchVecs(points: Dataset[Point], ids: Seq[Long]): Map[Long, Array[Float]] = {
-    val want = ids.toSet
-    val bc = points.sparkSession.sparkContext.broadcast(want)
+    val bc = points.sparkSession.sparkContext.broadcast(ids.toSet)
     val got =
-      try points.rdd.filter(p => bc.value.contains(p.id)).map(p => p.id -> p.vec).collect().toMap
+      try pass(points, "core.Points.fetchVecs")(_.filter(p => bc.value.contains(p.id)).map(p => p.id -> p.vec).toArray).flatten.toMap
       finally bc.destroy()
     ids.foreach(id => require(got.contains(id), s"no point has id $id"))
     got
@@ -136,15 +169,25 @@ object Points {
     * on the driver (documented per use). Rejects ids outside `[0, n)`, ids
     * that are not dense, vectors whose length is not `d` and values that are
     * not finite, so points that did not come through [[cached]] are checked
-    * too.
+    * too. Each partition ships one id array and one flat array of its values.
     */
   def collectVecs(points: Dataset[Point], n: Int, d: Int): Array[Array[Float]] = {
+    val blocks = pass(points, "core.Points.collectVecs") { it =>
+      val ids = new ArrayBuilder.ofLong
+      val vals = new ArrayBuilder.ofFloat
+      var bad: String = null
+      while (bad == null && it.hasNext) {
+        val p = it.next()
+        bad = if (p.id < 0 || p.id >= n) s"id ${p.id} is outside [0, $n)" else fault(p, d)
+        if (bad == null) { ids += p.id; vals ++= p.vec }
+      }
+      VecBlock(ids.result(), vals.result(), bad)
+    }
     val out = new Array[Array[Float]](n)
-    points.rdd.collect().foreach { p =>
-      require(p.id >= 0 && p.id < n, s"id ${p.id} is outside [0, $n)")
-      val bad = fault(p, d)
-      require(bad == null, bad)
-      out(p.id.toInt) = p.vec
+    blocks.foreach { b =>
+      require(b.fault == null, b.fault)
+      var i = 0
+      while (i < b.ids.length) { out(b.ids(i).toInt) = java.util.Arrays.copyOfRange(b.vals, i * d, i * d + d); i += 1 }
     }
     require(!out.contains(null), s"ids are not dense in [0, $n)")
     out

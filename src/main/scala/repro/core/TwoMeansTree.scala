@@ -106,12 +106,14 @@ object TwoMeansTree {
       lo + len / 2 + len % 2
     }
 
-    /** `margin(r − lo)` = `d(x,c₁) − d(x,c₂)` for each row r of `[lo, hi)`;
-      * a row is nearer c₁ (or as near) exactly when its margin is ≤ 0.
+    /** `margin(r − lo)` = `d(x,c₁) − d(x,c₂)` for each row r of `[lo, hi)`,
+      * two rows at a time, an odd last row alone; a row is nearer c₁ (or as
+      * near) exactly when its margin is ≤ 0.
       */
     private def margins(lo: Int, hi: Int, c1: Array[Double], c2: Array[Double]): Unit = {
       var r = lo
-      while (r < hi) { margin(r - lo) = VecOps.sqDistDiffDD(buf, r * d, c1, c2); r += 1 }
+      while (r + 1 < hi) { VecOps.sqDistDiffDD2(buf, r * d, c1, c2, margin, r - lo); r += 2 }
+      if (r < hi) margin(r - lo) = VecOps.sqDistDiffDD(buf, r * d, c1, c2)
     }
 
     /** Whether node row a (at `lo + a`) sorts before node row b: by margin,

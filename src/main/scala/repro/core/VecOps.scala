@@ -49,6 +49,24 @@ object VecOps {
     s1 - s2
   }
 
+  /** `out(at) = sqDistDiffDD(buf, off, c1, c2)` and `out(at + 1) =
+    * sqDistDiffDD(buf, off + c1.length, c1, c2)`: the two rows that follow
+    * each other in `buf`, summed in one loop by four accumulators, each in
+    * `sqDistDiffDD`'s order, so both are bit-identical to it.
+    */
+  def sqDistDiffDD2(buf: Array[Double], off: Int, c1: Array[Double], c2: Array[Double], out: Array[Double], at: Int): Unit = {
+    val d = c1.length
+    var s1 = 0.0; var s2 = 0.0; var s3 = 0.0; var s4 = 0.0; var i = 0
+    while (i < d) {
+      val a = buf(off + i); val b = buf(off + d + i)
+      val u = c1(i); val v = c2(i)
+      val t1 = a - u; val t2 = a - v; val t3 = b - u; val t4 = b - v
+      s1 += t1 * t1; s2 += t2 * t2; s3 += t3 * t3; s4 += t4 * t4
+      i += 1
+    }
+    out(at) = s1 - s2; out(at + 1) = s3 - s4
+  }
+
   /** `out(at) = dotFD(a, c1)` and `out(at + 1) = dotFD(a, c2)`, summed in
     * one loop, each in `dotFD`'s order, so both are bit-identical to it.
     */

@@ -14,11 +14,11 @@ object Metrics {
 
   /** Σ‖x‖² over the dataset — one pass, reused for the distortion identity. */
   def sumSqNorm(points: Dataset[Point]): Double = {
-    points.rdd.mapPartitions { it =>
+    Points.pass(points, "eval.Metrics.sumSqNorm") { it =>
       var s = 0.0
       it.foreach(p => s += VecOps.normSqF(p.vec))
-      Iterator.single(s)
-    }.collect().sum
+      s
+    }.sum
   }
 
   /** Average distortion computed directly (one pass of ‖x − C_label(x)‖²).
@@ -31,15 +31,15 @@ object Metrics {
     val bcS = sc.broadcast(state)
     val (sum, n) =
       try {
-        points.rdd.mapPartitions { it =>
+        Points.pass(points, "eval.Metrics.distortionDirect") { it =>
           val lab = bcL.value; val st = bcS.value
           var s = 0.0; var c = 0L
           it.foreach { p =>
             s += st.sqDistToCentroid(p.vec, VecOps.normSqF(p.vec), lab(p.id.toInt))
             c += 1
           }
-          Iterator.single((s, c))
-        }.collect().foldLeft((0.0, 0L)) { case ((a, b), (s, c)) => (a + s, b + c) }
+          (s, c)
+        }.foldLeft((0.0, 0L)) { case ((a, b), (s, c)) => (a + s, b + c) }
       } finally { bcL.destroy(); bcS.destroy() }
     sum / n
   }
@@ -56,7 +56,7 @@ object Metrics {
     val bcVecs = sc.broadcast(probes)
     val chunks =
       try {
-        points.rdd.mapPartitions { it =>
+        Points.pass(points, "eval.Metrics.bruteTop1") { it =>
           val ids = bcIds.value; val vs = bcVecs.value
           val bi = Array.fill(ids.length)(-1L)
           val bd = Array.fill(ids.length)(Double.MaxValue)
@@ -70,8 +70,8 @@ object Metrics {
               q += 1
             }
           }
-          Iterator.single(ProbeChunk(bi, bd))
-        }.collect()
+          ProbeChunk(bi, bd)
+        }
       } finally { bcIds.destroy(); bcVecs.destroy() }
     val bi = Array.fill(probeIds.length)(-1L)
     val bd = Array.fill(probeIds.length)(Double.MaxValue)

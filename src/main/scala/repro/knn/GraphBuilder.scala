@@ -43,6 +43,12 @@ final case class BuildResult(
     rounds: Vector[RoundRecord],
 )
 
+/** One task's in-cluster k-NN rows in four flat arrays: row i is point
+  * `ids(i)`'s `lens(i)` candidates, which follow row i − 1's in `nbrs` and
+  * `dists`.
+  */
+private final case class NbrRows(ids: Array[Int], lens: Array[Int], nbrs: Array[Int], dists: Array[Double])
+
 /** k-NN graph construction with fast k-means (paper Alg. 3).
   *
   * The vectors are collected in id order once per build and broadcast once.
@@ -55,7 +61,8 @@ final case class BuildResult(
   *   2. exhaustively compares points inside each cluster: the driver lists
   *      each cluster's members in id order, and one Spark job runs
   *      `LocalKMeans.inClusterTopK` per cluster (~ξ members, a tiny local
-  *      task) on the broadcast vectors; the closer pairs merge into the graph.
+  *      task) on the broadcast vectors; each task ships its rows as flat
+  *      arrays, and the closer pairs merge into the graph.
   *
   * Graph quality and clustering quality co-evolve; larger τ → higher recall
   * at proportional cost (paper Fig. 2).
@@ -102,14 +109,30 @@ object GraphBuilder {
         while (i < n) { builders(labels(i)) += i; i += 1 }
         val members = builders.map(_.result())
         // The closure reads `kappa`, not `graph.kappa`, so its tasks do not carry the graph.
-        val chunks = sc
-          .parallelize(members.toSeq, sc.defaultParallelism)
-          .flatMap(m => LocalKMeans.inClusterTopK(m.map(_.toLong), m.map(bcV.value(_)), kappa))
-          .collect()
+        val parts = Points.runJob(sc.parallelize(members.toSeq, sc.defaultParallelism), "knn.GraphBuilder.build") { it =>
+          val ids = Array.newBuilder[Int]; val lens = Array.newBuilder[Int]
+          val nbrs = Array.newBuilder[Int]; val dists = Array.newBuilder[Double]
+          it.foreach { m =>
+            LocalKMeans.inClusterTopK(m.map(_.toLong), m.map(bcV.value(_)), kappa).foreach { ch =>
+              ids += ch.id.toInt; lens += ch.nbrs.length; nbrs ++= ch.nbrs; dists ++= ch.dists
+            }
+          }
+          NbrRows(ids.result(), lens.result(), nbrs.result(), dists.result())
+        }
         val tMerge = System.nanoTime()
-        chunks.foreach { ch =>
-          var j = 0
-          while (j < ch.nbrs.length) { graph.merge(ch.id.toInt, ch.nbrs(j), ch.dists(j)); j += 1 }
+        // A row arrives in (distance, id) order, so once a candidate is no
+        // closer than the graph row's worst entry, `merge` rejects the rest.
+        parts.foreach { rs =>
+          var at = 0
+          var i = 0
+          while (i < rs.ids.length) {
+            val row = rs.ids(i); val dd = graph.dists(row)
+            val end = at + rs.lens(i)
+            var j = at
+            while (j < end && rs.dists(j) < dd(dd.length - 1)) { graph.merge(row, rs.nbrs(j), rs.dists(j)); j += 1 }
+            at = end
+            i += 1
+          }
         }
         val tEnd = System.nanoTime()
         val sizes = members.map(_.length).sorted

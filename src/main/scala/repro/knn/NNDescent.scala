@@ -1,12 +1,15 @@
 package repro.knn
 
 import org.apache.spark.sql.Dataset
-import repro.core.{NbrUpdate, Point, Points, VecOps}
+import repro.core.{Point, Points, VecOps}
 import repro.eval.Metrics
 import scala.util.Random
 
-/** One merged graph row coming back from a local-join round. */
-final case class GraphRowOut(node: Int, ids: Array[Int], dists: Array[Double], fresh: Array[Boolean], inserted: Int)
+/** One local-join task's merged graph rows, for the nodes `[lo, lo +
+  * fresh.length / κ)`, row after row in three flat arrays, and how many
+  * candidates it inserted.
+  */
+private final case class JoinRows(lo: Int, ids: Array[Int], dists: Array[Double], fresh: Array[Boolean], inserted: Long)
 
 /** NN-Descent / KGraph baseline (Dong et al., WWW'11) — the construction
   * algorithm the paper compares Alg. 3 against ("KGraph+GK-means" runs).
@@ -14,9 +17,13 @@ final case class GraphRowOut(node: Int, ids: Array[Int], dists: Array[Double], f
   * Standard formulation with new/old flags and sampled reverse neighbours:
   * each round does a local join between every node's *new* candidates and
   * its new∪old candidates; distances for candidate pairs update both
-  * endpoints' top-κ rows. The pair generation and distance evaluation are
-  * distributed (`flatMap` over per-node tasks, `groupByKey` merge); the
-  * model (graph rows + flags) lives on the driver like the centroid state
+  * endpoints' top-κ rows. Each round is one Spark job over the node ids,
+  * cut into contiguous ranges, with no shuffle: a task walks every node's
+  * candidate pairs in node order, measures the pairs with an endpoint in
+  * its range (a pair across two ranges is measured by both tasks) and
+  * merges them into its nodes' rows, so each row takes its candidates in
+  * node order, whatever the partitioning. The model (graph rows + flags)
+  * lives on the driver like the centroid state
   * does for clustering — vectors are broadcast for random access, which
   * bounds this implementation to broadcastable n·d (documented; the paper's
   * own observation is that NN-Descent degrades at very large n).
@@ -36,7 +43,6 @@ object NNDescent {
   ): BuildResult = {
     require(kappa < n, s"need kappa=$kappa < n=$n")
     val sp = points.sparkSession
-    import sp.implicits._
     val t0 = System.nanoTime()
     val vecs = Points.collectVecs(points, n, d)
     val bcV = sp.sparkContext.broadcast(vecs)
@@ -94,54 +100,50 @@ object NNDescent {
         val bcOlds = sp.sparkContext.broadcast(oldsArr)
         val merged =
           try {
-            sp.range(n)
-              .flatMap { nodeId =>
-                val vs = bcV.value
-                val out = Iterator.newBuilder[NbrUpdate]
-                val news = bcNews.value(nodeId.toInt); val olds = bcOlds.value(nodeId.toInt)
+            Points.runJob(sp.sparkContext.parallelize(0 until n, sp.sparkContext.defaultParallelism), "knn.NNDescent.build") { it =>
+              val nodes = it.toArray
+              val lo = if (nodes.isEmpty) 0 else nodes(0)
+              val hi = lo + nodes.length
+              val vs = bcV.value; val allNews = bcNews.value; val allOlds = bcOlds.value
+              // One single-row graph per node of the range, merged as row 0.
+              val rows = nodes.map(i => new KnnGraph(Array(bcIds.value(i).clone()), Array(bcDists.value(i).clone())))
+              val insertedIds = Array.fill(nodes.length)(new java.util.HashSet[Int]())
+              var inserted = 0L
+              def offer(node: Int, nbr: Int, dd: Double): Unit =
+                if (node >= lo && node < hi && rows(node - lo).merge(0, nbr, dd)) { inserted += 1; insertedIds(node - lo).add(nbr) }
+              def pair(a: Int, b: Int): Unit =
+                if ((a >= lo && a < hi) || (b >= lo && b < hi)) {
+                  val dd = VecOps.sqDistFF(vs(a), vs(b))
+                  offer(a, b, dd); offer(b, a, dd)
+                }
+              var u = 0
+              while (u < n) {
+                val news = allNews(u); val olds = allOlds(u)
                 var a = 0
                 while (a < news.length) {
                   var b = a + 1
-                  while (b < news.length) {
-                    val dd = VecOps.sqDistFF(vs(news(a)), vs(news(b)))
-                    out += NbrUpdate(news(a), news(b), dd)
-                    out += NbrUpdate(news(b), news(a), dd)
-                    b += 1
-                  }
+                  while (b < news.length) { pair(news(a), news(b)); b += 1 }
                   b = 0
-                  while (b < olds.length) {
-                    if (news(a) != olds(b)) {
-                      val dd = VecOps.sqDistFF(vs(news(a)), vs(olds(b)))
-                      out += NbrUpdate(news(a), olds(b), dd)
-                      out += NbrUpdate(olds(b), news(a), dd)
-                    }
-                    b += 1
-                  }
+                  while (b < olds.length) { if (news(a) != olds(b)) pair(news(a), olds(b)); b += 1 }
                   a += 1
                 }
-                out.result()
+                u += 1
               }
-              .groupByKey(_.node)
-              .mapGroups { (node, it) =>
-                val row = bcIds.value(node).clone()
-                val dd = bcDists.value(node).clone()
-                val tmp = new KnnGraph(Array(row), Array(dd))
-                var inserted = 0
-                val insertedIds = new java.util.HashSet[Int]()
-                it.foreach { u =>
-                  if (tmp.merge(0, u.nbr, u.dist)) { inserted += 1; insertedIds.add(u.nbr) }
-                }
-                val fr = row.map(insertedIds.contains)
-                GraphRowOut(node, row, dd, fr, inserted)
-              }
-              .collect()
+              val fresh = nodes.indices.flatMap(r => rows(r).ids(0).map(insertedIds(r).contains)).toArray
+              JoinRows(lo, rows.flatMap(_.ids(0)), rows.flatMap(_.dists(0)), fresh, inserted)
+            }
           } finally { bcIds.destroy(); bcDists.destroy(); bcNews.destroy(); bcOlds.destroy() }
 
         var updates = 0L
         merged.foreach { r =>
-          graph.ids(r.node) = r.ids
-          graph.dists(r.node) = r.dists
-          fresh(r.node) = r.fresh
+          var i = 0
+          while (i * kappa < r.ids.length) {
+            val node = r.lo + i
+            graph.ids(node) = r.ids.slice(i * kappa, (i + 1) * kappa)
+            graph.dists(node) = r.dists.slice(i * kappa, (i + 1) * kappa)
+            fresh(node) = r.fresh.slice(i * kappa, (i + 1) * kappa)
+            i += 1
+          }
           updates += r.inserted
         }
         probe.foreach { pr =>

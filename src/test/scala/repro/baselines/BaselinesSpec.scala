@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.{SparkSpec, TestData}
-import repro.core.{Clustering, Engine, AllClustersGen}
+import repro.core.{Clustering, Engine, AllClustersGen, VecOps}
 import repro.eval.Metrics
 
 /** Mini-Batch and closure k-means baselines. */
@@ -42,6 +42,16 @@ class BaselinesSpec extends SparkSpec {
   test("mini-batch records an evaluation trajectory when asked") {
     val fit = MiniBatchKMeans.fit(points, n, 10, d, batches = 12, batchSize = 100, seed = 3, evalEvery = 4)
     assert(fit.distortionByIter.length >= 3)
+  }
+
+  test("mini-batch reports the distortion of its own centres") {
+    val fit = MiniBatchKMeans.fit(points, n, 12, d, batches = 8, batchSize = 200, seed = 6, evalEvery = 3)
+    val vecs = TestData.smallVecs
+    val cents = (0 until 12).map(fit.state.centroid)
+    val want = vecs.map(x => cents.map(VecOps.sqDistFD(x, _)).min).sum / n
+    assert(math.abs(fit.finalDistortion - want) <= 1e-9 * want, s"E=${fit.finalDistortion} want=$want")
+    assert(Metrics.distortionDirect(points, fit.labels, fit.state) == fit.finalDistortion)
+    assert(fit.distortionByIter.length == 3)
   }
 
   test("mini-batch fits the same on 1 and 4 partitions") {

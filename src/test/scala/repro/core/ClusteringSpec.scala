@@ -176,11 +176,19 @@ class ClusteringSpec extends SparkSpec {
     Seq(
       Clustering.lloyd(TestData.tiny, 600, 1, 8, iters = 2, seed = 17),
       Clustering.boost(TestData.tiny, 600, 1, 8, iters = 2, seed = 17),
-      MiniBatchKMeans.fit(TestData.tiny, 600, 1, 8, batches = 2, batchSize = 50, seed = 17),
     ).foreach { fit =>
       assert(fit.state.cnt sameElements Array(600L))
       assert(math.abs(fit.finalDistortion - want) <= 1e-9 * want, s"E=${fit.finalDistortion} want=$want")
     }
+    // Mini-Batch's model is its one centre, a running mean of the sampled
+    // points: its E is the distortion about that centre, which the data mean
+    // can only undercut.
+    val mb = MiniBatchKMeans.fit(TestData.tiny, 600, 1, 8, batches = 2, batchSize = 50, seed = 17)
+    val c = mb.state.centroid(0)
+    val mbWant = TestData.tinyVecs.map(VecOps.sqDistFD(_, c)).sum / 600
+    assert(mb.labels.forall(_ == 0))
+    assert(math.abs(mb.finalDistortion - mbWant) <= 1e-9 * mbWant, s"E=${mb.finalDistortion} want=$mbWant")
+    assert(mb.finalDistortion >= want * (1 - 1e-9))
   }
 
   test("gkMeans rejects a short graph and a neighbour id outside [0, n)") {

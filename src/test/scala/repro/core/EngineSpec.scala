@@ -109,6 +109,78 @@ class EngineSpec extends SparkSpec {
     } finally four.unpersist()
   }
 
+  /** Fails unless `st` equals a from-scratch recompute of `labels` on pts,
+    * bit for bit.
+    */
+  private def assertResummed(pts: Dataset[Point], labels: Array[Int], st: ClusterState, prev: ClusterState, what: String): Unit = {
+    val rebuilt = ClusterState.fromLabels(pts, labels, st.k, d, Some(prev))
+    assert(st.cnt sameElements rebuilt.cnt, what)
+    (0 until st.k).foreach(c => assert(java.util.Arrays.equals(st.comp(c), rebuilt.comp(c)), s"$what cluster $c"))
+  }
+
+  test("epoch chains re-sum only changed rows and still equal fromLabels, bit for bit") {
+    // Start from the data's own clusters with a fifth of the points moved at
+    // random, plus a cluster `victim` of a few points from two far-apart
+    // clusters. Nobody is offered the victim, and until epoch 2 its members
+    // are offered nothing; from epoch 2 on they are offered every other
+    // cluster, and all leave it, so it empties part way through the chain.
+    // Epoch 2 runs the nearest rule in both chains: the Boost rule never
+    // moves a cluster's last point out of it within a partition.
+    val k = 13
+    val victim = 12
+    val rng = new scala.util.Random(21)
+    val gt = TestData.tinyGt
+    val start = gt.map(g => if (rng.nextInt(5) == 0) rng.nextInt(12) else g)
+    Seq(0, 5).foreach(c => gt.indices.filter(gt(_) == c).take(3).foreach(start(_) = victim))
+    val four = points.repartition(4).cache()
+    val one = points.repartition(1).cache()
+    try Seq(one, four).foreach { pts =>
+      Seq(Engine.NearestRule, Engine.BoostRule).foreach { main =>
+        var labels = start
+        var st = ClusterState.fromLabels(pts, labels, k, d)
+        (0 until 6).foreach { t =>
+          val rule = if (t == 2) Engine.NearestRule else main
+          val r = Engine.epoch(pts, labels, st, new VictimGen(k, victim, open = t >= 2), rule)
+          val what = s"$main chain on ${pts.rdd.getNumPartitions} partitions, epoch $t"
+          assertResummed(pts, r.labels, r.state, st, what)
+          assert(r.state.basis.labels eq r.labels, what)
+          if (t == 2) assert(st.cnt(victim) == 6 && r.state.cnt(victim) == 0, what)
+          if (t == 0) assert(r.moved > 0, what)
+          labels = r.labels; st = r.state
+        }
+      }
+    } finally { one.unpersist(); four.unpersist() }
+  }
+
+  test("epochs over a state that does not describe their labels and points re-sum in full, bit for bit") {
+    val k = 9
+    val labels = TestData.randomLabels(n, k, 22)
+    val other = TestData.randomLabels(n, k, 23)
+    val four = points.repartition(4).cache()
+    four.count()
+    // The Boost rule needs a state that counts each point in its cluster, so
+    // the first two cases run the nearest rule only.
+    val both = Seq(Engine.NearestRule, Engine.BoostRule)
+    val cases = Seq(
+      // a seed state with no points summed at all
+      ("fromCentroids", new Array[Int](n), () => Clustering.randomSeedState(points, n, k, d, 24), Seq(Engine.NearestRule)),
+      // partials of other labels
+      ("other labels", labels, () => ClusterState.fromLabels(points, other, k, d), Seq(Engine.NearestRule)),
+      // partials of an equal labels array, but another instance
+      ("a copy of the labels", labels.clone(), () => ClusterState.fromLabels(points, labels, k, d), both),
+      // partials of the same labels, summed over another Dataset
+      ("another Dataset", labels, () => ClusterState.fromLabels(four, labels, k, d), both),
+    )
+    try cases.foreach { case (what, lab, state, rules) =>
+      val st = state()
+      rules.foreach { rule =>
+        val r = Engine.epoch(points, lab, st, new AllClustersGen(k), rule)
+        assert(r.moved > 0, s"$rule, $what")
+        assertResummed(points, r.labels, r.state, st, s"$rule, $what")
+      }
+    } finally four.unpersist()
+  }
+
   test("a converged Lloyd fixpoint reports zero moves") {
     val k = 5
     var labels = TestData.randomLabels(n, k, 6)
@@ -327,4 +399,18 @@ private final class RepeatingGen(deduped: Boolean) extends CandidateGen {
     ids.length
   }
   override def maxCandidates: Int = 7
+}
+
+/** Every cluster but `victim`, for points outside it; for its members,
+  * the same once `open`, and nothing before.
+  */
+private final class VictimGen(k: Int, victim: Int, open: Boolean) extends CandidateGen {
+  override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int =
+    if (labels(p.id.toInt) == victim && !open) 0
+    else {
+      var m = 0
+      (0 until k).foreach(c => if (c != victim) { buf(m) = c; m += 1 })
+      m
+    }
+  override def maxCandidates: Int = k
 }

@@ -1,7 +1,12 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.Dataset
 import repro.{SparkSpec, TestData}
+import repro.baselines.ClosureKMeans
 import repro.eval.Metrics
+import scala.jdk.CollectionConverters._
 
 /** Points: the ingest check in `cached`, and passes reading the cache. */
 class PointsSpec extends SparkSpec {
@@ -69,5 +74,100 @@ class PointsSpec extends SparkSpec {
       Points.collectVecs(points, n, 4)
       assert(rows.sum == n, "a pass recomputed the source")
     } finally points.unpersist()
+  }
+
+  /** The start events of the Spark jobs `body` runs, in order, with the
+    * description the caller had set before `body` and still has after it.
+    */
+  private def jobsOf(body: => Unit): Seq[SparkListenerJobStart] = {
+    val sc = spark.sparkContext
+    val seen = new ConcurrentLinkedQueue[SparkListenerJobStart]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = seen.add(e)
+    }
+    val group = s"passes-${System.nanoTime()}"
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "the caller's description")
+      try {
+        body
+        assert(sc.getLocalProperty("spark.job.description") == "the caller's description")
+      } finally sc.clearJobGroup()
+      // Listener events arrive in order, so once this job's start is seen,
+      // so are those of every job body ran.
+      sc.setJobGroup(s"$group-end", "end")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      val deadline = System.nanoTime() + 30000000000L
+      def ended = seen.asScala.exists(_.properties.getProperty("spark.jobGroup.id") == s"$group-end")
+      while (!ended && System.nanoTime() < deadline) Thread.sleep(5)
+      assert(ended, "the listener did not see the end job")
+    } finally sc.removeSparkListener(listener)
+    seen.asScala.toSeq.filter(_.properties.getProperty("spark.jobGroup.id") == group)
+  }
+
+  /** Fails unless `body` ran one job per name in `layers`, in order, each of
+    * one stage whose final RDD is `points.rdd` and described by its name.
+    */
+  private def assertPasses(points: => Dataset[Point], layers: String*)(body: => Unit): Unit = {
+    val jobs = jobsOf(body)
+    assert(jobs.map(_.properties.getProperty("spark.job.description")) == layers)
+    jobs.zip(layers).foreach { case (j, layer) =>
+      assert(j.stageInfos.length == 1, layer)
+      assert(j.stageInfos.head.rddInfos.map(_.id).max == points.rdd.id, s"$layer: the stage's final RDD is not points.rdd")
+    }
+  }
+
+  test("every pass over the points is one job of one stage on points.rdd, described by its layer") {
+    val sp = spark
+    import sp.implicits._
+    val (n, d, k) = (600, 8, 7)
+    val points = TestData.tiny
+    val labels = TestData.randomLabels(n, k, 31)
+    var cached: Dataset[Point] = null
+    try {
+      assertPasses(cached, "core.Points.cached") {
+        cached = Points.cached(sp.sparkContext.parallelize(good, 3).toDF())
+      }
+    } finally if (cached != null) cached.unpersist()
+    val st = ClusterState.fromLabels(points, labels, k, d)
+    assertPasses(points, "core.Points.fetchVecs")(Points.fetchVecs(points, Seq(1L, 2L)))
+    assertPasses(points, "core.Points.collectVecs")(Points.collectVecs(points, n, d))
+    assertPasses(points, "core.ClusterState.fromLabels")(ClusterState.fromLabels(points, labels, k, d))
+    assertPasses(points, "core.Engine.epoch", "core.Engine.epoch") {
+      Engine.epoch(points, labels, st, new AllClustersGen(k), Engine.NearestRule)
+      Engine.epoch(points, labels, st, new AllClustersGen(k), Engine.BoostRule, recomputeState = false)
+    }
+    assertPasses(points, "eval.Metrics.sumSqNorm")(Metrics.sumSqNorm(points))
+    assertPasses(points, "eval.Metrics.distortionDirect")(Metrics.distortionDirect(points, labels, st))
+    assertPasses(points, "core.Points.fetchVecs", "eval.Metrics.bruteTop1")(Metrics.bruteTop1(points, Array(3L, 4L)))
+    assertPasses(points, "baselines.ClosureKMeans.buildBuckets")(ClosureKMeans.buildBuckets(points, n, d, 2, 50, 1))
+  }
+
+  test("collectVecs equals a per-point collect on 1 and 4 partitions") {
+    val (n, d) = (600, 8)
+    Seq(1, 4).foreach { parts =>
+      val pts = TestData.tiny.repartition(parts).cache()
+      try {
+        val want = new Array[Array[Float]](n)
+        pts.rdd.collect().foreach(p => want(p.id.toInt) = p.vec)
+        val got = Points.collectVecs(pts, n, d)
+        assert(got.length == n)
+        (0 until n).foreach(i => assert(got(i) sameElements want(i), s"$parts partitions, point $i"))
+      } finally pts.unpersist()
+    }
+  }
+
+  test("collectVecs keeps its fault messages on 1 and 4 partitions") {
+    val sp = spark
+    import sp.implicits._
+    Seq(1, 4).foreach { parts =>
+      def msg(pts: Seq[Point], n: Int = 20): String =
+        intercept[IllegalArgumentException](Points.collectVecs(sp.sparkContext.parallelize(pts, parts).toDS(), n, 3)).getMessage
+      assert(msg(good.updated(7, Point(7, Array(7f, 1f)))).contains("point 7 has 2 values, expected d=3"))
+      assert(msg(good.updated(7, Point(7, Array(7f, Float.NaN, 1f)))).contains("point 7 has a value that is not finite"))
+      assert(msg(good.updated(7, Point(25, Array(7f, 1f, 1f)))).contains("id 25 is outside [0, 20)"))
+      assert(msg(good.updated(7, Point(-1, Array(7f, 1f, 1f)))).contains("id -1 is outside [0, 20)"))
+      assert(msg(good, n = 21).contains("ids are not dense in [0, 21)"))
+    }
   }
 }

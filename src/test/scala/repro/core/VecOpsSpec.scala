@@ -134,6 +134,22 @@ class VecOpsSpec extends AnyFunSuite {
     }
   }
 
+  for (d <- Seq(1, 2, 3, 64, 127)) {
+    test(s"sqDistDiffDD2 equals two sqDistDiffDD calls exactly (d=$d)") {
+      val rng = new scala.util.Random(100 + d)
+      (0 until 50).foreach { _ =>
+        val c1 = spread(rng, d).map(_.toDouble); val c2 = if (rng.nextInt(5) == 0) c1 else spread(rng, d).map(_.toDouble)
+        // two rows next to each other, between other rows
+        val buf = Array.fill(4)(spread(rng, d)).flatten.map(_.toDouble)
+        val out = Array.fill(4)(Double.NaN)
+        VecOps.sqDistDiffDD2(buf, d, c1, c2, out, 1)
+        assert(out(1) == VecOps.sqDistDiffDD(buf, d, c1, c2))
+        assert(out(2) == VecOps.sqDistDiffDD(buf, 2 * d, c1, c2))
+        assert(out(0).isNaN && out(3).isNaN)
+      }
+    }
+  }
+
   test("centroidOf does not mutate its input") {
     val comp = Array(10.0, 20.0)
     VecOps.centroidOf(comp, 2)
