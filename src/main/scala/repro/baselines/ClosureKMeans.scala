@@ -67,7 +67,7 @@ object ClosureKMeans {
       val bs = Array.fill(nBuckets)(Array.newBuilder[Int])
       var pos = 0
       while (pos < n) {
-        val b = math.min(nBuckets - 1, pos * nBuckets / n)
+        val b = math.min(nBuckets - 1, (pos.toLong * nBuckets / n).toInt)
         bs(b) += order(pos)
         memberOf(pr)(order(pos)) = b
         pos += 1

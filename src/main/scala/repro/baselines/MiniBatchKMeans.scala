@@ -40,10 +40,10 @@ object MiniBatchKMeans {
     require(batchSize >= 1, s"need batchSize=$batchSize >= 1")
     require(evalEvery >= 0, s"need evalEvery=$evalEvery >= 0")
     val t0 = System.nanoTime()
-    // The seed state's fallback centroids, updated in place batch by batch.
-    val cents = Clustering.randomSeedState(points, n, k, d, seed).comp
-    val counts = new Array[Long](k)
     val vecs = Points.collectVecs(points, n, d)
+    // k sampled points as seed centres, updated in place batch by batch.
+    val cents = Clustering.sampleIds(n, k, seed).map(id => vecs(id.toInt).map(_.toDouble))
+    val counts = new Array[Long](k)
     val initMs = (System.nanoTime() - t0) / 1000000
 
     val dist = Vector.newBuilder[Double]

@@ -35,12 +35,14 @@ object Metrics {
           val lab = bcL.value; val st = bcS.value
           var s = 0.0; var c = 0L
           it.foreach { p =>
+            Points.requireShape(p, lab.length, st.d)
             s += st.sqDistToCentroid(p.vec, VecOps.normSqF(p.vec), lab(p.id.toInt))
             c += 1
           }
           (s, c)
         }.foldLeft((0.0, 0L)) { case ((a, b), (s, c)) => (a + s, b + c) }
       } finally { bcL.destroy(); bcS.destroy() }
+    Points.requireAllSeen(n, labels.length)
     sum / n
   }
 

@@ -6,29 +6,35 @@ import repro.eval.Metrics
 import scala.util.Random
 
 /** One local-join task's merged graph rows, for the nodes `[lo, lo +
-  * fresh.length / κ)`, row after row in three flat arrays, and how many
+  * ids.length / κ)`, row after row in two flat arrays, and how many
   * candidates it inserted.
   */
-private final case class JoinRows(lo: Int, ids: Array[Int], dists: Array[Double], fresh: Array[Boolean], inserted: Long)
+private final case class JoinRows(lo: Int, ids: Array[Int], dists: Array[Double], inserted: Long)
 
 /** NN-Descent / KGraph baseline (Dong et al., WWW'11) — the construction
   * algorithm the paper compares Alg. 3 against ("KGraph+GK-means" runs).
   *
-  * Standard formulation with new/old flags and sampled reverse neighbours:
+  * Standard formulation with new/old entries and sampled reverse neighbours:
   * each round does a local join between every node's *new* candidates and
   * its new∪old candidates; distances for candidate pairs update both
-  * endpoints' top-κ rows. Each round is one Spark job over the node ids,
-  * cut into contiguous ranges, with no shuffle: a task walks every node's
+  * endpoints' top-κ rows. An entry is new when the previous round put it in
+  * its row (every entry of the initial graph is new), so the driver tells
+  * new from old by the rows as they stood when that round started. Each
+  * round is one Spark job over the node ids, cut into contiguous ranges,
+  * with no shuffle: a task copies its range's rows, walks every node's
   * candidate pairs in node order, measures the pairs with an endpoint in
   * its range (a pair across two ranges is measured by both tasks) and
-  * merges them into its nodes' rows, so each row takes its candidates in
-  * node order, whatever the partitioning. The model (graph rows + flags)
-  * lives on the driver like the centroid state
-  * does for clustering — vectors are broadcast for random access, which
-  * bounds this implementation to broadcastable n·d (documented; the paper's
-  * own observation is that NN-Descent degrades at very large n).
+  * merges them into its rows at their node ids, so each row takes its
+  * candidates in node order, whatever the partitioning. The model (graph
+  * rows) lives on the driver like the centroid state does for clustering —
+  * vectors are broadcast for random access, which bounds this
+  * implementation to broadcastable n·d (documented; the paper's own
+  * observation is that NN-Descent degrades at very large n).
   */
 object NNDescent {
+
+  /** A round that inserts fewer than this share of the n·κ entries ends the build. */
+  private val ConvergenceDelta = 0.002
 
   def build(
       points: Dataset[Point],
@@ -38,25 +44,27 @@ object NNDescent {
       maxIters: Int = 8,
       rho: Double = 0.5,
       seed: Long = 11,
-      convergenceDelta: Double = 0.002,
       probe: Option[Probe] = None,
   ): BuildResult = {
     require(kappa < n, s"need kappa=$kappa < n=$n")
-    val sp = points.sparkSession
+    val sc = points.sparkSession.sparkContext
     val t0 = System.nanoTime()
     val vecs = Points.collectVecs(points, n, d)
-    val bcV = sp.sparkContext.broadcast(vecs)
+    val bcV = sc.broadcast(vecs)
     val recalls = Vector.newBuilder[Double]
     try {
       // Random graph with measured distances: each row's ids, in ascending
       // order, merge into the row, whose MaxValue entries are the placeholders.
       val graph = KnnGraph.random(n, kappa, seed)
-      var i = 0
-      while (i < n) {
-        graph.ids(i).sorted.foreach(j => graph.merge(i, j, VecOps.sqDistFF(vecs(i), vecs(j))))
-        i += 1
+      for (i <- 0 until n) graph.ids(i).sorted.foreach(j => graph.merge(i, j, VecOps.sqDistFF(vecs(i), vecs(j))))
+      // The rows as the previous round started; null before the first round.
+      var before: Array[Array[Int]] = null
+      def isNew(i: Int, id: Int): Boolean = before == null || {
+        val row = before(i)
+        var p = 0
+        while (p < row.length && row(p) != id) p += 1
+        p == row.length
       }
-      val fresh = Array.fill(n, kappa)(true)
       val rng = new Random(seed ^ 0xBEEF)
       val sampleCap = math.max(1, (rho * kappa).toInt)
 
@@ -66,16 +74,7 @@ object NNDescent {
         // Reverse lists of new / old entries, sampled to ρκ per node.
         val revNew = Array.fill(n)(List.empty[Int])
         val revOld = Array.fill(n)(List.empty[Int])
-        i = 0
-        while (i < n) {
-          var j = 0
-          while (j < kappa) {
-            val tgt = graph.ids(i)(j)
-            if (fresh(i)(j)) revNew(tgt) ::= i else revOld(tgt) ::= i
-            j += 1
-          }
-          i += 1
-        }
+        for (i <- 0 until n; tgt <- graph.ids(i)) if (isNew(i, tgt)) revNew(tgt) ::= i else revOld(tgt) ::= i
         def sampled(l: List[Int]): Array[Int] = {
           val a = l.toArray
           if (a.length <= sampleCap) a
@@ -83,39 +82,36 @@ object NNDescent {
         }
         val newsArr = new Array[Array[Int]](n)
         val oldsArr = new Array[Array[Int]](n)
-        i = 0
-        while (i < n) {
-          newsArr(i) = (graph.ids(i).indices.filter(fresh(i)(_)).map(graph.ids(i)(_)) ++ sampled(revNew(i))).distinct.toArray
-          oldsArr(i) = (graph.ids(i).indices.filterNot(fresh(i)(_)).map(graph.ids(i)(_)) ++ sampled(revOld(i))).distinct.toArray
-          i += 1
+        for (i <- 0 until n) {
+          newsArr(i) = (graph.ids(i).filter(isNew(i, _)) ++ sampled(revNew(i))).distinct
+          oldsArr(i) = (graph.ids(i).filterNot(isNew(i, _)) ++ sampled(revOld(i))).distinct
         }
-        // All entries participating this round become old.
-        i = 0
-        while (i < n) { java.util.Arrays.fill(fresh(i), false); i += 1 }
 
-        val bcIds = sp.sparkContext.broadcast(graph.ids)
-        val bcDists = sp.sparkContext.broadcast(graph.dists)
+        val bcIds = sc.broadcast(graph.ids)
+        val bcDists = sc.broadcast(graph.dists)
         // candidate lists travel as broadcasts, not inside stage task binaries
-        val bcNews = sp.sparkContext.broadcast(newsArr)
-        val bcOlds = sp.sparkContext.broadcast(oldsArr)
+        val bcNews = sc.broadcast(newsArr)
+        val bcOlds = sc.broadcast(oldsArr)
         val merged =
           try {
-            Points.runJob(sp.sparkContext.parallelize(0 until n, sp.sparkContext.defaultParallelism), "knn.NNDescent.build") { it =>
+            Points.runJob(sc.parallelize(0 until n, sc.defaultParallelism), "knn.NNDescent.build") { it =>
               val nodes = it.toArray
               val lo = if (nodes.isEmpty) 0 else nodes(0)
               val hi = lo + nodes.length
               val vs = bcV.value; val allNews = bcNews.value; val allOlds = bcOlds.value
-              // One single-row graph per node of the range, merged as row 0.
-              val rows = nodes.map(i => new KnnGraph(Array(bcIds.value(i).clone()), Array(bcDists.value(i).clone())))
-              val insertedIds = Array.fill(nodes.length)(new java.util.HashSet[Int]())
+              // Tasks in one JVM share the broadcast rows, so a task merges
+              // into copies of its own range's rows only.
+              val g = new KnnGraph(bcIds.value.clone(), bcDists.value.clone())
+              for (r <- lo until hi) { g.ids(r) = g.ids(r).clone(); g.dists(r) = g.dists(r).clone() }
               var inserted = 0L
-              def offer(node: Int, nbr: Int, dd: Double): Unit =
-                if (node >= lo && node < hi && rows(node - lo).merge(0, nbr, dd)) { inserted += 1; insertedIds(node - lo).add(nbr) }
-              def pair(a: Int, b: Int): Unit =
-                if ((a >= lo && a < hi) || (b >= lo && b < hi)) {
+              def pair(a: Int, b: Int): Unit = {
+                val inA = a >= lo && a < hi; val inB = b >= lo && b < hi
+                if (inA || inB) {
                   val dd = VecOps.sqDistFF(vs(a), vs(b))
-                  offer(a, b, dd); offer(b, a, dd)
+                  if (inA && g.merge(a, b, dd)) inserted += 1
+                  if (inB && g.merge(b, a, dd)) inserted += 1
                 }
+              }
               var u = 0
               while (u < n) {
                 val news = allNews(u); val olds = allOlds(u)
@@ -129,27 +125,21 @@ object NNDescent {
                 }
                 u += 1
               }
-              val fresh = nodes.indices.flatMap(r => rows(r).ids(0).map(insertedIds(r).contains)).toArray
-              JoinRows(lo, rows.flatMap(_.ids(0)), rows.flatMap(_.dists(0)), fresh, inserted)
+              JoinRows(lo, g.ids.slice(lo, hi).flatten, g.dists.slice(lo, hi).flatten, inserted)
             }
           } finally { bcIds.destroy(); bcDists.destroy(); bcNews.destroy(); bcOlds.destroy() }
 
-        var updates = 0L
+        before = graph.ids.clone()
         merged.foreach { r =>
-          var i = 0
-          while (i * kappa < r.ids.length) {
-            val node = r.lo + i
-            graph.ids(node) = r.ids.slice(i * kappa, (i + 1) * kappa)
-            graph.dists(node) = r.dists.slice(i * kappa, (i + 1) * kappa)
-            fresh(node) = r.fresh.slice(i * kappa, (i + 1) * kappa)
-            i += 1
+          for (i <- 0 until r.ids.length / kappa) {
+            graph.ids(r.lo + i) = r.ids.slice(i * kappa, (i + 1) * kappa)
+            graph.dists(r.lo + i) = r.dists.slice(i * kappa, (i + 1) * kappa)
           }
-          updates += r.inserted
         }
         probe.foreach { pr =>
           recalls += Metrics.recallTop1(graph.ids, graph.dists, pr.probeIds, pr.trueIds, pr.trueDists)
         }
-        done = updates < convergenceDelta * n * kappa
+        done = merged.map(_.inserted).sum < ConvergenceDelta * n * kappa
         t += 1
       }
       BuildResult(graph, (System.nanoTime() - t0) / 1000000, recalls.result(), vecs, Vector.empty)

@@ -1,7 +1,7 @@
 package repro.baselines
 
-import repro.{SparkSpec, TestData}
-import repro.core.{Clustering, Engine, AllClustersGen, VecOps}
+import repro.{SparkSpec, SynthData, TestData}
+import repro.core.{Clustering, Engine, AllClustersGen, Points, VecOps}
 import repro.eval.Metrics
 
 /** Mini-Batch and closure k-means baselines. */
@@ -84,6 +84,16 @@ class BaselinesSpec extends SparkSpec {
       assert(bs.map(_.length).sum == n)
       assert(bs.forall(b => b.length >= 20 && b.length <= 80), s"sizes=${bs.map(_.length).toSeq}")
     }
+  }
+
+  test("closure buckets stay equal-size once pos * nBuckets passes Int.MaxValue (n = 50,000, bucketSize = 1)") {
+    val big = Points.cached(SynthData.clusteredVectors(spark, 50000, 2, 5, seed = 104))
+    try {
+      val (memberOf, buckets) = ClosureKMeans.buildBuckets(big, 50000, 2, m = 1, bucketSize = 1, seed = 5)
+      assert(buckets(0).length == 50000 && buckets(0).forall(_.length == 1))
+      assert(buckets(0).map(_(0)).sorted sameElements Array.range(0, 50000))
+      assert(memberOf(0).indices.forall(id => buckets(0)(memberOf(0)(id))(0) == id))
+    } finally big.unpersist()
   }
 
   test("closure buckets reject m = 0 and bucketSize = 0, naming them") {

@@ -40,6 +40,21 @@ class MetricsSpec extends SparkSpec {
     assert(math.abs(Metrics.distortionDirect(points, labels, st) - local) < 1e-6 * (1 + local))
   }
 
+  test("distortionDirect with too few or too many labels fails, naming a point or both counts") {
+    val labels = TestData.randomLabels(n, 8, 21)
+    val st = ClusterState.fromLabels(points, labels, 8, 8)
+    val short = intercept[org.apache.spark.SparkException](Metrics.distortionDirect(points, labels.take(n / 2), st))
+    assert(short.getMessage.matches(s"(?s).*point \\d+ is outside \\[0, n=${n / 2}\\).*"), short.getMessage)
+    val long = intercept[IllegalArgumentException](Metrics.distortionDirect(points, labels ++ labels, st))
+    assert(long.getMessage.contains(s"saw $n points, but there are n=${2 * n} labels"), long.getMessage)
+  }
+
+  test("distortionDirect against a state whose d exceeds the vectors fails, naming a point and both lengths") {
+    val st = ClusterState.fromCentroids(Array.fill(8)(new Array[Double](16)))
+    val e = intercept[org.apache.spark.SparkException](Metrics.distortionDirect(points, TestData.randomLabels(n, 8, 21), st))
+    assert(e.getMessage.matches("(?s).*point \\d+ has 8 values, expected d=16.*"), e.getMessage)
+  }
+
   test("bruteTop1 matches a local brute-force scan") {
     val probes = Array(0L, 17L, 99L, 401L)
     val (ids, dists) = Metrics.bruteTop1(points, probes)

@@ -1,6 +1,63 @@
 package repro.knn
 
 import repro.{SparkSpec, TestData}
+import repro.core.VecOps
+import repro.eval.Metrics
+import scala.collection.mutable
+import scala.util.Random
+
+/** NN-Descent written out on one machine: every round's candidate pairs
+  * merged in node order into one graph, and an n×κ matrix of new flags, each
+  * set when a round inserts its entry. The same random graph, reverse
+  * sampling and RNG draws as `NNDescent.build`, so its rows and per-round
+  * recalls are the ones the distributed rounds must give, bit for bit.
+  */
+object SequentialNNDescent {
+
+  def build(vecs: Array[Array[Float]], kappa: Int, maxIters: Int, rho: Double, seed: Long, probe: Probe): (KnnGraph, Vector[Double]) = {
+    val n = vecs.length
+    val graph = KnnGraph.random(n, kappa, seed)
+    for (i <- 0 until n) graph.ids(i).sorted.foreach(j => graph.merge(i, j, VecOps.sqDistFF(vecs(i), vecs(j))))
+    var fresh = Array.fill(n, kappa)(true)
+    val rng = new Random(seed ^ 0xBEEF)
+    val cap = math.max(1, (rho * kappa).toInt)
+    def sampled(l: List[Int]): Array[Int] =
+      if (l.length <= cap) l.toArray else rng.shuffle(l.toArray.toSeq).take(cap).toArray
+    val recalls = Vector.newBuilder[Double]
+    var t = 0
+    var done = false
+    while (t < maxIters && !done) {
+      val revNew = Array.fill(n)(List.empty[Int])
+      val revOld = Array.fill(n)(List.empty[Int])
+      for (i <- 0 until n; j <- 0 until kappa) {
+        val tgt = graph.ids(i)(j)
+        if (fresh(i)(j)) revNew(tgt) ::= i else revOld(tgt) ::= i
+      }
+      val news = new Array[Array[Int]](n)
+      val olds = new Array[Array[Int]](n)
+      for (i <- 0 until n) {
+        news(i) = ((0 until kappa).filter(fresh(i)(_)).map(graph.ids(i)(_)) ++ sampled(revNew(i))).distinct.toArray
+        olds(i) = ((0 until kappa).filterNot(fresh(i)(_)).map(graph.ids(i)(_)) ++ sampled(revOld(i))).distinct.toArray
+      }
+      val inserted = Array.fill(n)(mutable.Set.empty[Int])
+      var updates = 0L
+      def pair(a: Int, b: Int): Unit = {
+        val dd = VecOps.sqDistFF(vecs(a), vecs(b))
+        if (graph.merge(a, b, dd)) { updates += 1; inserted(a) += b }
+        if (graph.merge(b, a, dd)) { updates += 1; inserted(b) += a }
+      }
+      for (u <- 0 until n; a <- news(u).indices) {
+        for (b <- a + 1 until news(u).length) pair(news(u)(a), news(u)(b))
+        for (o <- olds(u) if o != news(u)(a)) pair(news(u)(a), o)
+      }
+      fresh = Array.tabulate(n, kappa)((i, j) => inserted(i).contains(graph.ids(i)(j)))
+      recalls += Metrics.recallTop1(graph.ids, graph.dists, probe.probeIds, probe.trueIds, probe.trueDists)
+      done = updates < 0.002 * n * kappa
+      t += 1
+    }
+    (graph, recalls.result())
+  }
+}
 
 /** NN-Descent baseline: improvement over rounds, convergence, validity. */
 class NNDescentSpec extends SparkSpec {
@@ -38,10 +95,29 @@ class NNDescentSpec extends SparkSpec {
     }
   }
 
-  test("a loose convergence threshold stops the iteration early") {
-    val res = NNDescent.build(points, n, d, kappa = 6, maxIters = 10, rho = 0.5, seed = 5,
-      convergenceDelta = 0.9, probe = Some(probe))
+  test("the default convergence threshold stops the iteration early") {
+    val res = NNDescent.build(points, n, d, kappa = 6, maxIters = 10, rho = 0.5, seed = 5, probe = Some(probe))
     assert(res.roundRecalls.length < 10)
+  }
+
+  test("the build equals the sequential rounds, bit for bit, on 1 and 4 partitions") {
+    val (one, four) = (points.repartition(1).cache(), points.repartition(4).cache())
+    try Seq((8, 6, 2L), (6, 10, 5L)).foreach { case (kappa, iters, seed) =>
+      val (want, wantRecalls) = SequentialNNDescent.build(TestData.tinyVecs, kappa, iters, 0.5, seed, probe)
+      Seq(one, four).foreach { ds =>
+        val got = NNDescent.build(ds, n, d, kappa, iters, 0.5, seed, Some(probe))
+        assert(got.roundRecalls == wantRecalls, s"kappa=$kappa")
+        (0 until n).foreach { i =>
+          assert(got.graph.ids(i) sameElements want.ids(i), s"kappa=$kappa row $i")
+          assert(got.graph.dists(i) sameElements want.dists(i), s"kappa=$kappa row $i")
+        }
+      }
+    } finally { one.unpersist(); four.unpersist() }
+  }
+
+  test("point 0 enters graph rows like any other point") {
+    val res = NNDescent.build(points, n, d, kappa = 8, maxIters = 6, rho = 0.5, seed = 2)
+    assert(res.graph.ids.exists(_.contains(0)))
   }
 
   test("handles kappa close to n") {
