@@ -44,11 +44,10 @@ object ClosureKMeans {
     // Per partition, its ids and their m projections each, row after row.
     val blocks =
       try {
-        Points.pass(points, "baselines.ClosureKMeans.buildBuckets") { it =>
+        Points.pass(points, "baselines.ClosureKMeans.buildBuckets", n, d) { it =>
           val ids = Array.newBuilder[Long]
           val ps = Array.newBuilder[Double]
           it.foreach { p =>
-            Points.requireShape(p, n, d)
             ids += p.id
             bcDirs.value.foreach(dir => ps += VecOps.dotFD(p.vec, dir))
           }

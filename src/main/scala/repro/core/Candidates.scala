@@ -10,12 +10,12 @@ import org.apache.spark.broadcast.Broadcast
   */
 trait CandidateGen extends Serializable {
 
-  /** Fill `buf` with candidate cluster ids for `p` and return the count.
-    * `labels` is the epoch-start assignment snapshot. Every id is in
-    * [0, k); ids may repeat and may include `p`'s own cluster — the engine
+  /** Fill `buf` with candidate cluster ids for point `i` and return the
+    * count. `labels` is the epoch-start assignment snapshot. Every id is in
+    * [0, k); ids may repeat and may include `i`'s own cluster — the engine
     * scores each distinct other cluster once, in first-emission order.
     */
-  def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int
+  def fill(i: Int, labels: Array[Int], buf: Array[Int]): Int
 
   /** Upper bound on candidates per sample — sizes the reusable buffer. */
   def maxCandidates: Int
@@ -23,9 +23,9 @@ trait CandidateGen extends Serializable {
 
 /** Full scan over all k clusters (traditional k-means / boost k-means). */
 final class AllClustersGen(k: Int) extends CandidateGen {
-  override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int = {
-    var i = 0
-    while (i < k) { buf(i) = i; i += 1 }
+  override def fill(i: Int, labels: Array[Int], buf: Array[Int]): Int = {
+    var c = 0
+    while (c < k) { buf(c) = c; c += 1 }
     k
   }
   override def maxCandidates: Int = k
@@ -35,10 +35,10 @@ final class AllClustersGen(k: Int) extends CandidateGen {
   * every graph row holds at least κ neighbours.
   */
 final class GraphNbrGen(bcGraph: Broadcast[Array[Array[Int]]], kappa: Int) extends CandidateGen {
-  override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int = {
-    val row = bcGraph.value(p.id.toInt)
-    var i = 0
-    while (i < kappa) { buf(i) = labels(row(i)); i += 1 }
+  override def fill(i: Int, labels: Array[Int], buf: Array[Int]): Int = {
+    val row = bcGraph.value(i)
+    var j = 0
+    while (j < kappa) { buf(j) = labels(row(j)); j += 1 }
     kappa
   }
   override def maxCandidates: Int = kappa
@@ -55,8 +55,8 @@ final class ClosureGen(
     bcMemberOf: Broadcast[Array[Array[Int]]],
     bcBuckets: Broadcast[Array[Array[Array[Int]]]],
 ) extends CandidateGen {
-  override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int =
-    walk(p.id.toInt, labels, buf, 0)
+  override def fill(i: Int, labels: Array[Int], buf: Array[Int]): Int =
+    walk(i, labels, buf, 0)
 
   /** Write `clusterOf(mate)` for every bucket mate of `i`, projection by
     * projection, into `buf` from index `from`, skipping negative values;
@@ -98,9 +98,9 @@ final class SeedClosureGen(
 ) extends CandidateGen {
   private val closure = new ClosureGen(bcMemberOf, bcBuckets)
 
-  override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int = {
-    buf(0) = (p.id % k).toInt // fallback candidate
-    closure.walk(p.id.toInt, bcSeedOf.value, buf, 1)
+  override def fill(i: Int, labels: Array[Int], buf: Array[Int]): Int = {
+    buf(0) = i % k // fallback candidate
+    closure.walk(i, bcSeedOf.value, buf, 1)
   }
   override val maxCandidates: Int = closure.maxCandidates + 1
 }

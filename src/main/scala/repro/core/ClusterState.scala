@@ -88,17 +88,13 @@ object ClusterState {
     val bcL = points.sparkSession.sparkContext.broadcast(labels)
     val rows =
       try {
-        Points.pass(points, "core.ClusterState.fromLabels") { it =>
+        Points.pass(points, "core.ClusterState.fromLabels", labels.length, d) { it =>
           val lab = bcL.value
           val acc = new PartialSums(k, d)
-          it.foreach { p =>
-            Points.requireShape(p, lab.length, d)
-            acc.add(lab(p.id.toInt), p.vec)
-          }
+          it.foreach(p => acc.add(lab(p.id.toInt), p.vec))
           acc.rows(null)
         }
       } finally bcL.destroy()
-    Points.requireAllSeen(rows.map(_.cnt.sum).sum, labels.length)
     fromRows(points.rdd.id, labels, rows, k, d, prev, delta = false)
   }
 

@@ -41,10 +41,10 @@ object Engine {
   case object NearestRule extends Rule
 
   /** One partition's accepted moves (point ids and their new clusters), its
-    * candidate scorings and point count, and its re-summed rows (null when
-    * the epoch does not recompute its state).
+    * candidate scorings, and its re-summed rows (null when the epoch does not
+    * recompute its state).
     */
-  private final case class MoveChunk(ids: Array[Int], target: Array[Int], evals: Long, seen: Long, rows: SumRows)
+  private final case class MoveChunk(ids: Array[Int], target: Array[Int], evals: Long, rows: SumRows)
 
   final case class EpochResult(
       labels: Array[Int],
@@ -110,7 +110,7 @@ object Engine {
     val bcS = sc.broadcast(state)
     val chunks =
       try {
-        Points.pass(points, "core.Engine.epoch") { it =>
+        Points.pass(points, "core.Engine.epoch", labels.length, state.d) { it =>
           val lab = bcL.value
           val st = bcS.value
           val buf = new Array[Int](cand.maxCandidates)
@@ -119,10 +119,10 @@ object Engine {
           val movedIds = Array.newBuilder[Int]
           val movedTo = Array.newBuilder[Int]
           var evals = 0L
-          // Reduce the raw candidates of p to the distinct clusters other
-          // than u, in first-emission order, in buf(0 until m).
-          def candidates(p: Point, u: Int): Int = {
-            val raw = cand.fill(p, lab, buf)
+          // Reduce the raw candidates of point i to the distinct clusters
+          // other than u, in first-emission order, in buf(0 until m).
+          def candidates(i: Int, u: Int): Int = {
+            val raw = cand.fill(i, lab, buf)
             tag += 1
             stamp(u) = tag
             var m = 0
@@ -153,14 +153,12 @@ object Engine {
           val xs = if (recomputeState) Array.newBuilder[Array[Float]] else null
           val tos = Array.newBuilder[Int]
           val changed = new java.util.BitSet(st.k)
-          var seen = 0L
           it.foreach { p =>
-            Points.requireShape(p, lab.length, st.d)
-            seen += 1
-            val u = lab(p.id.toInt)
+            val i = p.id.toInt
+            val u = lab(i)
             val x = p.vec
             val xx = VecOps.normSqF(x)
-            val m = candidates(p, u)
+            val m = candidates(i, u)
             fillDots(x, u, m)
             val to = rule match {
               case BoostRule =>
@@ -194,7 +192,7 @@ object Engine {
                 }
                 best
             }
-            if (to != u) { movedIds += p.id.toInt; movedTo += to; changed.set(u); changed.set(to) }
+            if (to != u) { movedIds += i; movedTo += to; changed.set(u); changed.set(to) }
             if (xs != null) { xs += x; tos += to }
           }
           // The rows to ship: every cluster the partition holds or, over a
@@ -209,11 +207,10 @@ object Engine {
               while (i < vs.length) { if (!delta || changed.get(to(i))) acc.add(to(i), vs(i)); i += 1 }
               acc.rows(if (delta) changed else null)
             }
-          MoveChunk(movedIds.result(), movedTo.result(), evals, seen, rows)
+          MoveChunk(movedIds.result(), movedTo.result(), evals, rows)
         }
       } finally { bcL.destroy(); bcS.destroy() }
 
-    Points.requireAllSeen(chunks.map(_.seen).sum, labels.length)
     val newLabels = labels.clone()
     var moved = 0L
     var evals = 0L

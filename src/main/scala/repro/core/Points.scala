@@ -17,16 +17,12 @@ final case class Point(id: Long, vec: Array[Float])
 /** One point's candidate-neighbour list produced by in-cluster refinement. */
 final case class NbrChunk(id: Long, nbrs: Array[Int], dists: Array[Double])
 
-/** What the ingest check found in one partition: its ids, the length of its
-  * first vector (-1 if it has none) with that vector's id, and its first
-  * fault, or null.
+/** What one partition's scan found: its ids, the vector length it checked
+  * against (the d asked for, else its first vector's, -1 if it has none)
+  * with that vector's id, its first fault, or null, and, when collecting,
+  * its values row after row (else null).
   */
-private final case class IngestChunk(ids: Array[Long], d: Int, firstId: Long, fault: String)
-
-/** One partition's vectors as `collectVecs` ships them: their ids, their
-  * values row after row, and the partition's first fault, or null.
-  */
-private final case class VecBlock(ids: Array[Long], vals: Array[Float], fault: String)
+private final case class Scan(ids: Array[Long], d: Int, firstId: Long, fault: String, vals: Array[Float])
 
 object Points {
 
@@ -53,8 +49,10 @@ object Points {
     */
   def cached(df: DataFrame): Dataset[Point] = {
     val ds = fromDF(df).cache()
-    try check(pass(ds, "core.Points.cached")(ingestChunk))
-    catch { case e: Throwable => ds.unpersist(); throw e }
+    try {
+      val scans = pass(ds, "core.Points.cached")(scan(-1, collect = false))
+      check(scans, scans.map(_.ids.length).sum)
+    } catch { case e: Throwable => ds.unpersist(); throw e }
     ds
   }
 
@@ -65,6 +63,37 @@ object Points {
     */
   private[repro] def pass[T: ClassTag](points: Dataset[Point], layer: String)(f: Iterator[Point] => T): Array[T] =
     runJob(points.rdd, layer)(f)
+
+  /** [[pass]] for a pass that indexes an n-array by id and reads d values:
+    * `f` sees its partition through a [[Checked]] iterator, and the pass
+    * fails unless the partitions saw n points in all.
+    */
+  private[repro] def pass[T: ClassTag](points: Dataset[Point], layer: String, n: Int, d: Int)(f: Iterator[Point] => T): Array[T] = {
+    val out = pass(points, layer) { it =>
+      val checked = new Checked(it, n, d)
+      (f(checked), checked.seen)
+    }
+    val seen = out.map(_._2).sum
+    require(seen == n, s"the pass saw $seen points, but there are n=$n labels")
+    out.map(_._1)
+  }
+
+  /** The points of `it`, counted, failing the task, naming the point, on
+    * one whose id is outside `[0, n)` or whose vector does not have d values,
+    * where a wrong n or d would otherwise be an index error or a silently
+    * truncated sum.
+    */
+  private final class Checked(it: Iterator[Point], n: Int, d: Int) extends Iterator[Point] {
+    var seen = 0L
+    def hasNext: Boolean = it.hasNext
+    def next(): Point = {
+      val p = it.next()
+      if (p.id < 0 || p.id >= n) throw new IllegalArgumentException(s"point ${p.id} is outside [0, n=$n)")
+      if (p.vec.length != d) throw new IllegalArgumentException(s"point ${p.id} has ${p.vec.length} values, expected d=$d")
+      seen += 1
+      p
+    }
+  }
 
   /** `f` on every partition of `rdd` as one `SparkContext.runJob`, described
     * as `layer` for that job only: the caller's description (a job group's,
@@ -91,65 +120,55 @@ object Points {
 
   private val JobDescription = "spark.job.description"
 
-  /** Null if p is a well-formed point of dimension d, else what is wrong. */
-  private def fault(p: Point, d: Int): String = {
-    if (p.vec == null) return s"point ${p.id} has no vector"
-    if (p.vec.length != d) return s"point ${p.id} has ${p.vec.length} values, expected d=$d"
-    var j = 0
-    while (j < d) {
-      if (!java.lang.Float.isFinite(p.vec(j))) return s"point ${p.id} has a value that is not finite"
-      j += 1
-    }
-    null
-  }
-
-  private def ingestChunk(it: Iterator[Point]): IngestChunk = {
-    val ids = new scala.collection.mutable.ArrayBuilder.ofLong
-    var d = -1
+  /** One partition's scan, up to its first fault: a point needs a vector
+    * of d values or, for d < 0, as many as the partition's first vector,
+    * all finite. Ships the values only when collecting.
+    */
+  private def scan(d: Int, collect: Boolean)(it: Iterator[Point]): Scan = {
+    val ids = new ArrayBuilder.ofLong
+    val vals = new ArrayBuilder.ofFloat
+    var len = d
     var firstId = -1L
     var bad: String = null
-    it.foreach { p =>
-      if (d < 0 && p.vec != null) { d = p.vec.length; firstId = p.id }
-      if (bad == null && p.vec != null && p.vec.length != d) bad = s"point ${p.id} has ${p.vec.length} values but point $firstId has $d"
-      if (bad == null) bad = fault(p, d)
-      ids += p.id
+    while (bad == null && it.hasNext) {
+      val p = it.next()
+      if (len < 0 && p.vec != null) { len = p.vec.length; firstId = p.id }
+      bad =
+        if (p.vec == null) s"point ${p.id} has no vector"
+        else if (p.vec.length != len && d < 0) s"point ${p.id} has ${p.vec.length} values but point $firstId has $len"
+        else if (p.vec.length != len) s"point ${p.id} has ${p.vec.length} values, expected d=$d"
+        else if (!finite(p.vec)) s"point ${p.id} has a value that is not finite"
+        else null
+      if (bad == null) { ids += p.id; if (collect) vals ++= p.vec }
     }
-    IngestChunk(ids.result(), d, firstId, bad)
+    Scan(ids.result(), len, firstId, bad, if (collect) vals.result() else null)
+  }
+
+  private def finite(v: Array[Float]): Boolean = {
+    var j = 0
+    while (j < v.length && java.lang.Float.isFinite(v(j))) j += 1
+    j == v.length
   }
 
   /** Fails on the first fault any partition found, then on a vector length
-    * that differs between partitions, an id outside `[0, n)` or an id seen
-    * twice. n distinct ids in `[0, n)` are dense.
+    * that differs between partitions, then unless the ids are n distinct
+    * values in `[0, n)`, naming an id outside it or seen twice.
     */
-  private def check(chunks: Array[IngestChunk]): Unit = {
-    chunks.foreach(c => require(c.fault == null, c.fault))
-    chunks.find(_.d >= 0).foreach { first =>
-      chunks.foreach { c =>
-        require(c.d < 0 || c.d == first.d, s"point ${c.firstId} has ${c.d} values but point ${first.firstId} has ${first.d}")
+  private def check(scans: Array[Scan], n: Int): Unit = {
+    scans.foreach(s => require(s.fault == null, s.fault))
+    scans.find(_.d >= 0).foreach { first =>
+      scans.foreach { s =>
+        require(s.d < 0 || s.d == first.d, s"point ${s.firstId} has ${s.d} values but point ${first.firstId} has ${first.d}")
       }
     }
-    val n = chunks.map(_.ids.length.toLong).sum
-    val seen = new java.util.BitSet(n.toInt)
-    chunks.foreach(_.ids.foreach { id =>
+    val seen = new java.util.BitSet(n)
+    scans.foreach(_.ids.foreach { id =>
       require(id >= 0 && id < n, s"id $id is outside [0, $n)")
       require(!seen.get(id.toInt), s"id $id appears more than once")
       seen.set(id.toInt)
     })
+    require(seen.cardinality == n, s"ids are not dense in [0, $n)")
   }
-
-  /** Fails, naming the point, unless its id is in `[0, n)` and its vector has
-    * d values: the per-point check of the passes that index an n-array by id
-    * and read d values, where a wrong n or d would otherwise be an index
-    * error or a silently truncated sum.
-    */
-  private[repro] def requireShape(p: Point, n: Int, d: Int): Unit = {
-    if (p.id < 0 || p.id >= n) throw new IllegalArgumentException(s"point ${p.id} is outside [0, n=$n)")
-    if (p.vec.length != d) throw new IllegalArgumentException(s"point ${p.id} has ${p.vec.length} values, expected d=$d")
-  }
-
-  /** Fails unless a pass saw one point per label. */
-  private[repro] def requireAllSeen(seen: Long, n: Int): Unit =
-    require(seen == n, s"the pass saw $seen points, but there are n=$n labels")
 
   /** Fetch the vectors for the given ids, as an id-keyed map; fails on an id
     * that no point has.
@@ -166,30 +185,19 @@ object Points {
   /** Collect all vectors ordered by id — used where the model (not the data)
     * needs random access, e.g. NN-Descent candidate distances and the
     * two-means tree. Caller is responsible for keeping n small enough to hold
-    * on the driver (documented per use). Rejects ids outside `[0, n)`, ids
-    * that are not dense, vectors whose length is not `d` and values that are
-    * not finite, so points that did not come through [[cached]] are checked
-    * too. Each partition ships one id array and one flat array of its values.
+    * on the driver (documented per use). Checks the points as [[cached]]
+    * does, with n and d given, so points that did not come through it are
+    * checked too. Each partition ships one id array and one flat array of
+    * its values.
     */
   def collectVecs(points: Dataset[Point], n: Int, d: Int): Array[Array[Float]] = {
-    val blocks = pass(points, "core.Points.collectVecs") { it =>
-      val ids = new ArrayBuilder.ofLong
-      val vals = new ArrayBuilder.ofFloat
-      var bad: String = null
-      while (bad == null && it.hasNext) {
-        val p = it.next()
-        bad = if (p.id < 0 || p.id >= n) s"id ${p.id} is outside [0, $n)" else fault(p, d)
-        if (bad == null) { ids += p.id; vals ++= p.vec }
-      }
-      VecBlock(ids.result(), vals.result(), bad)
-    }
+    val scans = pass(points, "core.Points.collectVecs")(scan(d, collect = true))
+    check(scans, n)
     val out = new Array[Array[Float]](n)
-    blocks.foreach { b =>
-      require(b.fault == null, b.fault)
+    scans.foreach { s =>
       var i = 0
-      while (i < b.ids.length) { out(b.ids(i).toInt) = java.util.Arrays.copyOfRange(b.vals, i * d, i * d + d); i += 1 }
+      while (i < s.ids.length) { out(s.ids(i).toInt) = java.util.Arrays.copyOfRange(s.vals, i * d, i * d + d); i += 1 }
     }
-    require(!out.contains(null), s"ids are not dense in [0, $n)")
     out
   }
 }

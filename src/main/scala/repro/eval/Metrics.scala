@@ -29,21 +29,16 @@ object Metrics {
     val sc = points.sparkSession.sparkContext
     val bcL = sc.broadcast(labels)
     val bcS = sc.broadcast(state)
-    val (sum, n) =
+    val sum =
       try {
-        Points.pass(points, "eval.Metrics.distortionDirect") { it =>
+        Points.pass(points, "eval.Metrics.distortionDirect", labels.length, state.d) { it =>
           val lab = bcL.value; val st = bcS.value
-          var s = 0.0; var c = 0L
-          it.foreach { p =>
-            Points.requireShape(p, lab.length, st.d)
-            s += st.sqDistToCentroid(p.vec, VecOps.normSqF(p.vec), lab(p.id.toInt))
-            c += 1
-          }
-          (s, c)
-        }.foldLeft((0.0, 0L)) { case ((a, b), (s, c)) => (a + s, b + c) }
+          var s = 0.0
+          it.foreach(p => s += st.sqDistToCentroid(p.vec, VecOps.normSqF(p.vec), lab(p.id.toInt)))
+          s
+        }.sum
       } finally { bcL.destroy(); bcS.destroy() }
-    Points.requireAllSeen(n, labels.length)
-    sum / n
+    sum / labels.length
   }
 
   /** Brute-force top-1 neighbour (id and distance) of each probe id, scanning

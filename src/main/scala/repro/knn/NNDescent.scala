@@ -47,6 +47,8 @@ object NNDescent {
       probe: Option[Probe] = None,
   ): BuildResult = {
     require(kappa < n, s"need kappa=$kappa < n=$n")
+    require(maxIters >= 0, s"need maxIters=$maxIters >= 0")
+    require(rho > 0 && rho <= 1, s"need 0 < rho=$rho <= 1")
     val sc = points.sparkSession.sparkContext
     val t0 = System.nanoTime()
     val vecs = Points.collectVecs(points, n, d)

@@ -24,7 +24,7 @@ class CandidatesSpec extends SparkSpec {
       val gen = new ClosureGen(bcM, bcB)
       val labels = Array.tabulate(12)(i => 100 + i)
       val buf = new Array[Int](gen.maxCandidates)
-      val m = gen.fill(Point(5, Array(0f)), labels, buf)
+      val m = gen.fill(5, labels, buf)
       assert(buf.take(m).toSeq == Seq(104, 105, 106, 107))
     } finally { bcM.destroy(); bcB.destroy() }
   }
@@ -39,7 +39,7 @@ class CandidatesSpec extends SparkSpec {
       val gen = new ClosureGen(bcM, bcB)
       val labels = Array.tabulate(8)(identity)
       val buf = new Array[Int](gen.maxCandidates)
-      val m = gen.fill(Point(0, Array(0f)), labels, buf)
+      val m = gen.fill(0, labels, buf)
       assert(buf.take(m).toSeq == Seq(0, 1, 2, 3, 0, 2, 4, 6))
     } finally { bcM.destroy(); bcB.destroy() }
   }
@@ -55,7 +55,7 @@ class CandidatesSpec extends SparkSpec {
       val gen = new SeedClosureGen(bcM, bcB, bcS, k = 5)
       val buf = new Array[Int](gen.maxCandidates)
       // id 5 shares bucket {4,5,6,7} with seed 6 -> candidate 3; fallback 5 % 5 = 0
-      val m = gen.fill(Point(5, Array(0f)), new Array[Int](12), buf)
+      val m = gen.fill(5, new Array[Int](12), buf)
       assert(buf.take(m).toSeq == Seq(0, 3))
     } finally { bcM.destroy(); bcB.destroy(); bcS.destroy() }
   }
@@ -68,7 +68,7 @@ class CandidatesSpec extends SparkSpec {
     try {
       val gen = new SeedClosureGen(bcM, bcB, bcS, k = 3)
       val buf = new Array[Int](gen.maxCandidates)
-      val m = gen.fill(Point(7, Array(0f)), new Array[Int](8), buf)
+      val m = gen.fill(7, new Array[Int](8), buf)
       assert(buf.take(m).toSeq == Seq(7 % 3))
     } finally { bcM.destroy(); bcB.destroy(); bcS.destroy() }
   }

@@ -273,7 +273,7 @@ class EngineSpec extends SparkSpec {
       val buf = new Array[Int](gen.maxCandidates)
       ids.foreach { i =>
         val x = vecs(i); val xx = VecOps.normSqF(x); val u = labels(i)
-        val cands = buf.take(gen.fill(Point(i.toLong, x), labels, buf)).distinct.filter(_ != u)
+        val cands = buf.take(gen.fill(i, labels, buf)).distinct.filter(_ != u)
         val dotU = VecOps.dotFD(x, comp(u))
         val gU = BoostMath.removalGain(norm(u), cnt(u), dotU, xx)
         var best = -1; var bestGain = 0.0; var bestDotV = 0.0
@@ -305,7 +305,7 @@ class EngineSpec extends SparkSpec {
     labels.indices.map { i =>
       val x = vecs(i); val xx = VecOps.normSqF(x); val u = labels(i)
       var best = u; var bestD = st.sqDistToCentroid(x, xx, u)
-      buf.take(gen.fill(Point(i.toLong, x), labels, buf)).distinct.filter(_ != u).foreach { v =>
+      buf.take(gen.fill(i, labels, buf)).distinct.filter(_ != u).foreach { v =>
         val dd = st.sqDistToCentroid(x, xx, v)
         if (dd < bestD) { bestD = dd; best = v }
       }
@@ -356,7 +356,7 @@ class EngineSpec extends SparkSpec {
   test("AllClustersGen fills 0..k-1") {
     val gen = new AllClustersGen(5)
     val buf = new Array[Int](5)
-    assert(gen.fill(Point(0, Array(1f)), Array(0), buf) == 5)
+    assert(gen.fill(0, Array(0), buf) == 5)
     assert(buf.toSeq == Seq(0, 1, 2, 3, 4))
   }
 
@@ -367,7 +367,7 @@ class EngineSpec extends SparkSpec {
       val gen = new GraphNbrGen(bc, 2)
       val labels = Array(5, 6, 7)
       val buf = new Array[Int](2)
-      val m = gen.fill(Point(0, Array(0f)), labels, buf)
+      val m = gen.fill(0, labels, buf)
       assert(m == 2 && buf.toSeq == Seq(6, 7))
     } finally bc.destroy()
   }
@@ -377,8 +377,7 @@ class EngineSpec extends SparkSpec {
   * so a point has 0 to 9 candidates to score; needs k > 9.
   */
 private final class CountingGen(k: Int) extends CandidateGen {
-  override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int = {
-    val i = p.id.toInt
+  override def fill(i: Int, labels: Array[Int], buf: Array[Int]): Int = {
     val u = labels(i)
     buf(0) = u
     (0 until i % 10).foreach(j => buf(1 + j) = (u + 1 + (i + j) % (k - 1)) % k)
@@ -391,8 +390,8 @@ private final class CountingGen(k: Int) extends CandidateGen {
   * distinct ids of that list other than u, in first-emission order.
   */
 private final class RepeatingGen(deduped: Boolean) extends CandidateGen {
-  override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int = {
-    val u = labels(p.id.toInt)
+  override def fill(i: Int, labels: Array[Int], buf: Array[Int]): Int = {
+    val u = labels(i)
     val raw = Seq(u, 3, 3, 1, u, 1, 2)
     val ids = if (deduped) raw.distinct.filter(_ != u) else raw
     ids.copyToArray(buf)
@@ -405,8 +404,8 @@ private final class RepeatingGen(deduped: Boolean) extends CandidateGen {
   * the same once `open`, and nothing before.
   */
 private final class VictimGen(k: Int, victim: Int, open: Boolean) extends CandidateGen {
-  override def fill(p: Point, labels: Array[Int], buf: Array[Int]): Int =
-    if (labels(p.id.toInt) == victim && !open) 0
+  override def fill(i: Int, labels: Array[Int], buf: Array[Int]): Int =
+    if (labels(i) == victim && !open) 0
     else {
       var m = 0
       (0 until k).foreach(c => if (c != victim) { buf(m) = c; m += 1 })

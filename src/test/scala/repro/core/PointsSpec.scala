@@ -143,6 +143,29 @@ class PointsSpec extends SparkSpec {
     assertPasses(points, "baselines.ClosureKMeans.buildBuckets")(ClosureKMeans.buildBuckets(points, n, d, 2, 50, 1))
   }
 
+  test("every checked pass fails on n - 1, n + 1 and a wrong d, naming the point or both counts") {
+    val (n, d, k) = (600, 8, 7)
+    val points = TestData.tiny
+    def labels(m: Int) = TestData.randomLabels(m, k, 31)
+    def state(e: Int) = ClusterState.fromCentroids(Array.tabulate(k)(c => Array.fill(e)(c.toDouble)))
+    val passes = Seq[(String, (Int, Int) => Any)](
+      "Engine.epoch" -> ((m, e) => Engine.epoch(points, labels(m), state(e), new AllClustersGen(k), Engine.NearestRule)),
+      "ClusterState.fromLabels" -> ((m, e) => ClusterState.fromLabels(points, labels(m), k, e)),
+      "Metrics.distortionDirect" -> ((m, e) => Metrics.distortionDirect(points, labels(m), state(e))),
+      "ClosureKMeans.buildBuckets" -> ((m, e) => ClosureKMeans.buildBuckets(points, m, e, 2, 50, 1)),
+      "ClosureKMeans.fit" -> ((m, e) => ClosureKMeans.fit(points, m, k, e, iters = 1, seed = 1)),
+    )
+    val cases = Seq(
+      (n - 1, d, s"point \\d+ is outside \\[0, n=${n - 1}\\)"),
+      (n + 1, d, s"the pass saw $n points, but there are n=${n + 1} labels"),
+      (n, d / 2, s"point \\d+ has $d values, expected d=${d / 2}"),
+    )
+    for ((name, run) <- passes; (m, e, want) <- cases) {
+      val msg = intercept[Exception](run(m, e)).getMessage
+      assert(msg.matches(s"(?s).*$want.*"), s"$name with n=$m, d=$e: $msg")
+    }
+  }
+
   test("collectVecs equals a per-point collect on 1 and 4 partitions") {
     val (n, d) = (600, 8)
     Seq(1, 4).foreach { parts =>

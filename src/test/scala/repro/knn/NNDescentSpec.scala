@@ -131,4 +131,18 @@ class NNDescentSpec extends SparkSpec {
       NNDescent.build(TestData.d4, 200, 4, kappa = 200, maxIters = 1, rho = 0.5, seed = 7))
     assert(e.getMessage.contains("kappa=200") && e.getMessage.contains("n=200"), e.getMessage)
   }
+
+  test("rejects maxIters < 0, naming maxIters") {
+    val e = intercept[IllegalArgumentException](
+      NNDescent.build(TestData.d4, 200, 4, kappa = 8, maxIters = -1, rho = 0.5, seed = 7))
+    assert(e.getMessage.contains("maxIters=-1"), e.getMessage)
+  }
+
+  test("rejects rho outside (0, 1], naming rho") {
+    Seq(0.0, -0.5, Double.NaN, 1.5).foreach { rho =>
+      val e = intercept[IllegalArgumentException](
+        NNDescent.build(TestData.d4, 200, 4, kappa = 8, maxIters = 1, rho = rho, seed = 7))
+      assert(e.getMessage.contains(s"rho=$rho"), e.getMessage)
+    }
+  }
 }
